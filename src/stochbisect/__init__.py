@@ -20,7 +20,6 @@ from .engine import (
     bisection_run,
     multisection_step,
     population_step,
-    rescaled_run,
     skewed_dyadic,
 )
 from .markov import GridCdf, apply_operator, ell_cdf_general, iterate_operator, rate_bound
@@ -67,7 +66,6 @@ __all__ = [
     "parse_spec",
     "population_step",
     "rate_bound",
-    "rescaled_run",
     "skewed_dyadic",
     "substream",
     "wilson_ci",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .distributions import DomainError, NoDensityError, SpecError
+from .distributions import DomainError, NoDensityError
 from .engine import BracketError, CutRedrawError
 from .markov import BandHypothesisError, EndpointAtomError
 from .stats import DegenerateSampleError
@@ -147,15 +147,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _run(args)
-    except (SpecError, ValueError) as exc:
-        if isinstance(exc, _NUMERICAL_ERRORS):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
     if args.out:

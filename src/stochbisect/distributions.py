@@ -89,10 +89,19 @@ def _clean_edges(breakpoints: Sequence[float]) -> list[float]:
     return [0.0] + inner + [1.0]
 
 
+def _density_measure(pdf, breakpoints: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Panels between consecutive edges, each weighted by the density."""
+    edges = _clean_edges(breakpoints)
+    pts, wts = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        p, w = _panel_measure(lo, hi, _segment_panels(hi - lo))
+        pts.append(p)
+        wts.append(w * pdf(p))
+    return np.concatenate(pts), np.concatenate(wts)
+
+
 class Distribution(ABC):
     """A cut/root law on [0, 1]."""
-
-    has_density: bool = False
 
     @property
     @abstractmethod
@@ -110,12 +119,6 @@ class Distribution(ABC):
     @abstractmethod
     def moments(self) -> tuple[float, float]:
         """(mean, variance) in closed form."""
-
-    def mean(self) -> float:
-        return self.moments()[0]
-
-    def variance(self) -> float:
-        return self.moments()[1]
 
     def pdf(self, x) -> float | np.ndarray:
         raise NoDensityError(f"{self.spec} has no density")
@@ -153,8 +156,6 @@ class Distribution(ABC):
 class Uniform(Distribution):
     """Uniform law on [0, 1]."""
 
-    has_density = True
-
     @property
     def spec(self) -> str:
         return "uniform"
@@ -172,13 +173,7 @@ class Uniform(Distribution):
         return np.ones_like(np.asarray(x, dtype=float))
 
     def quadrature(self, breakpoints=()):
-        edges = _clean_edges(breakpoints)
-        pts, wts = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            p, w = _panel_measure(lo, hi, _segment_panels(hi - lo))
-            pts.append(p)
-            wts.append(w)
-        return np.concatenate(pts), np.concatenate(wts)
+        return _density_measure(self.pdf, breakpoints)
 
 
 class Beta(Distribution):
@@ -189,8 +184,6 @@ class Beta(Distribution):
     endpoint singularity of sub-1 shapes with the substitution x = u^(1/a)
     (resp. 1 - x = v^(1/b)), after which the integrand is smooth.
     """
-
-    has_density = True
 
     def __init__(self, a: float, b: float):
         a, b = float(a), float(b)
@@ -292,8 +285,6 @@ class Bates(Distribution):
     needs the closed-form moments, which hold for any n.
     """
 
-    has_density = True
-
     def __init__(self, n: int):
         if int(n) != n or n < 1:
             raise ValueError(f"Bates n must be a positive integer, got {n}")
@@ -343,19 +334,11 @@ class Bates(Distribution):
 
     def quadrature(self, breakpoints=()):
         kinks = [j / self.n for j in range(1, self.n)]
-        edges = _clean_edges(list(breakpoints) + kinks)
-        pts, wts = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            p, w = _panel_measure(lo, hi, _segment_panels(hi - lo))
-            pts.append(p)
-            wts.append(w * self.pdf(p))
-        return np.concatenate(pts), np.concatenate(wts)
+        return _density_measure(self.pdf, list(breakpoints) + kinks)
 
 
 class PointMass(Distribution):
     """Degenerate law: every draw equals c."""
-
-    has_density = False
 
     def __init__(self, c: float):
         c = float(c)
@@ -382,8 +365,6 @@ class PointMass(Distribution):
 
 class Empirical(Distribution):
     """Law of a finite sample: resampling draws, step-function CDF."""
-
-    has_density = False
 
     def __init__(self, samples: Sequence[float]):
         values = np.sort(np.asarray(samples, dtype=float))

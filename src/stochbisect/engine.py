@@ -1,16 +1,15 @@
 """Stochastic bisection algorithms.
 
-Three step rules live here: the interval-tracking bisection run (random
-cut in the current bracket), the scale-invariant rescaled run on [0, 1]
-(tracking the normalized root through the skewed dyadic map), and the
-K-cut multisection step. Vectorized population steppers evolve many
-independent chains at once for the statistical experiments.
+Two step rules live here: the random cut, which keeps [0, c] when c >= r
+and [c, 1] otherwise and renormalizes the root by the skewed dyadic map,
+and the K-cut multisection step. `bisection_run` applies the random cut
+to a bracket of a user-supplied f; vectorized population steppers evolve
+many independent chains at once for the statistical experiments, and
+`skewed_dyadic` is the scalar reference for one cut.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -22,12 +21,12 @@ from .distributions import Distribution, DomainError
 __all__ = [
     "BracketError",
     "CutRedrawError",
+    "NonFiniteValueError",
     "IterationRecord",
     "RunTrace",
     "skewed_dyadic",
     "draw_cut",
     "bisection_run",
-    "rescaled_run",
     "multisection_step",
     "population_step",
     "multisection_population_step",
@@ -37,6 +36,7 @@ _MAX_REDRAWS = 100
 
 TERMINATED_TOLERANCE = "tolerance"
 TERMINATED_MAX_ITERATIONS = "max_iterations"
+TERMINATED_EXACT_ROOT = "exact_root"
 
 
 class BracketError(ValueError):
@@ -45,6 +45,16 @@ class BracketError(ValueError):
 
 class CutRedrawError(RuntimeError):
     """Cut law kept producing endpoint cuts (0 or 1) past the redraw cap."""
+
+
+class NonFiniteValueError(ArithmeticError):
+    """f returned NaN or an infinity, so its sign cannot be trusted."""
+
+
+def _finite(x: float, fx: float) -> float:
+    if not math.isfinite(fx):
+        raise NonFiniteValueError(f"f({x!r}) = {fx!r} is not finite")
+    return fx
 
 
 def skewed_dyadic(c: float, r: float) -> float:
@@ -127,20 +137,6 @@ class RunTrace:
     def final_length(self) -> float:
         return self.records[-1].L if self.records else 1.0
 
-    def final_root(self) -> float:
-        return self.records[-1].r_normalized if self.records else math.nan
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "a", "b", "cut", "ell", "L", "r_normalized"])
-        for rec in self.records:
-            writer.writerow(
-                [rec.n, repr(rec.a), repr(rec.b), repr(rec.cut),
-                 repr(rec.ell), repr(rec.L), repr(rec.r_normalized)]
-            )
-        return buf.getvalue()
-
 
 def bisection_run(
     f: Callable[[float], float],
@@ -158,12 +154,18 @@ def bisection_run(
     whichever side still brackets the root, until b - a < tol or the
     iteration cap is hit. When the true root is supplied its normalized
     position (r - a) / (b - a) is recorded; otherwise that column is NaN.
+
+    A cut with f(cut) == 0 stops the run with `terminated_by ==
+    "exact_root"`; its record has a == b == cut, ell == L == 0, a NaN
+    normalized root, and log_L -inf. A NaN or infinite value of f raises
+    `NonFiniteValueError`; a zero at either starting endpoint raises
+    `BracketError`.
     """
     a, b = float(a), float(b)
     if not a < b:
         raise BracketError(f"need a < b, got [{a}, {b}]")
-    fa, fb = f(a), f(b)
-    if fa * fb >= 0.0:
+    fa, fb = _finite(a, f(a)), _finite(b, f(b))
+    if fa == 0.0 or fb == 0.0 or (fa < 0.0) == (fb < 0.0):
         raise BracketError(f"f does not change sign on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
 
     width0 = b - a
@@ -175,7 +177,18 @@ def bisection_run(
         c = draw_cut(cut_dist, rng)
         cut = a + (b - a) * c
         fc = f(cut)
-        if fa * fc < 0.0:
+        n += 1
+        sign = fa * fc
+        if not 0.0 < abs(sign) < math.inf:
+            # Zero, NaN or infinite product: an exact root, a non-finite
+            # value, or a scale the product under- or overflows.
+            if _finite(cut, fc) == 0.0:
+                trace.records.append(IterationRecord(n, cut, cut, cut, 0.0, 0.0, math.nan))
+                trace.log_L.append(-math.inf)
+                trace.terminated_by = TERMINATED_EXACT_ROOT
+                return trace
+            sign = fc if fa > 0.0 else -fc
+        if sign < 0.0:
             b = cut
         else:
             a, fa = cut, fc
@@ -183,52 +196,9 @@ def bisection_run(
         length = (b - a) / width0
         log_length += math.log(ell)
         r_norm = (root - a) / (b - a) if root is not None else math.nan
-        n += 1
         trace.records.append(IterationRecord(n, a, b, cut, ell, length, r_norm))
         trace.log_L.append(log_length)
     trace.terminated_by = TERMINATED_TOLERANCE if b - a < tol else TERMINATED_MAX_ITERATIONS
-    return trace
-
-
-def rescaled_run(
-    r0: float,
-    cut_dist: Distribution,
-    tol: float,
-    max_iter: int,
-    rng: np.random.Generator,
-) -> RunTrace:
-    """Scale-invariant run: every iteration restarts on [0, 1].
-
-    The cut c is drawn on (0, 1); the kept side is [0, c] when c >= r and
-    [c, 1] otherwise, so the scaling factor is c or 1 - c and the root is
-    renormalized by the skewed dyadic map. Stops once a scaling factor
-    drops below tol (the first iteration always runs).
-    """
-    r = float(r0)
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r0 must lie strictly inside (0, 1), got {r}")
-
-    trace = RunTrace()
-    length = 1.0
-    log_length = 0.0
-    n = 0
-    while n < max_iter:
-        c = draw_cut(cut_dist, rng)
-        if c >= r:  # ties keep [0, c], matching the skewed dyadic case split
-            lo, hi = 0.0, c
-        else:
-            lo, hi = c, 1.0
-        ell = hi - lo
-        r = skewed_dyadic(c, r)
-        length *= ell
-        log_length += math.log(ell)
-        n += 1
-        trace.records.append(IterationRecord(n, lo, hi, c, ell, length, r))
-        trace.log_L.append(log_length)
-        if ell < tol:
-            trace.terminated_by = TERMINATED_TOLERANCE
-            return trace
-    trace.terminated_by = TERMINATED_MAX_ITERATIONS
     return trace
 
 

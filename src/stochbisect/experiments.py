@@ -45,7 +45,6 @@ __all__ = [
     "report_to_csv",
     "report_to_json",
     "parse_report_csv",
-    "parse_report_json",
 ]
 
 DEFAULT_SEED = 20250811
@@ -179,10 +178,6 @@ def _parse_scalar(text: str):
 
 def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(report.to_payload(), indent=2) + "\n"
-
-
-def parse_report_json(text: str) -> dict:
-    return json.loads(text)
 
 
 def report_to_csv(report: ExperimentReport) -> str:

@@ -12,10 +12,10 @@ or by quadrature, depending on the cut law:
 
 * uniform cuts reduce to averaged integrals of G, computed in closed form
   from the exact cumulative integral of the piecewise-linear grid CDF;
-* point masses and empirical laws evaluate the bracket at their atoms;
-* other densities integrate against a fixed composite Gauss-Legendre
-  measure, whose fixed node set keeps positivity (hence monotonicity of
-  the output) exact.
+* every other law integrates against its own `quadrature()` measure:
+  the exact atoms of point masses and empirical laws, or a fixed
+  composite Gauss-Legendre measure for densities, whose fixed node set
+  keeps positivity (hence monotonicity of the output) exact.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, Empirical, PointMass, Uniform
+from .distributions import Distribution, PointMass, Uniform
 from .theory import cut_concavity
 
 __all__ = [
@@ -135,15 +135,6 @@ def _repair_monotone(raw: np.ndarray) -> np.ndarray:
     return repaired
 
 
-def _atom_measure(cut_dist: Distribution) -> tuple[np.ndarray, np.ndarray] | None:
-    if isinstance(cut_dist, PointMass):
-        return np.array([cut_dist.c]), np.array([1.0])
-    if isinstance(cut_dist, Empirical):
-        m = cut_dist.samples.size
-        return cut_dist.samples, np.full(m, 1.0 / m)
-    return None
-
-
 _CHUNK_ELEMENTS = 1 << 21  # caps the t x cut-point matrices at ~16 MB
 
 
@@ -185,8 +176,7 @@ def apply_operator(grid_cdf: GridCdf, cut_dist: Distribution) -> GridCdf:
                          + (total - integrals[interior]) / (1.0 - ti)
                          - total)
     else:
-        atoms = _atom_measure(cut_dist)
-        pts, wts = atoms if atoms is not None else cut_dist.quadrature()
+        pts, wts = cut_dist.quadrature()
         out = _bracket_sum(grid_cdf, pts, wts, t)
 
     return GridCdf(_repair_monotone(out))
@@ -201,8 +191,7 @@ def apply_operator_to_function(
     interpolation error would mask the identity being verified.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    atoms = _atom_measure(cut_dist)
-    pts, wts = atoms if atoms is not None else cut_dist.quadrature()
+    pts, wts = cut_dist.quadrature()
     return _bracket_sum(fn, pts, wts, t)
 
 
@@ -243,25 +232,15 @@ def ell_cdf_general(grid_cdf: GridCdf, cut_dist: Distribution, t) -> np.ndarray 
     if np.any((ts < 0.0) | (ts > 1.0)):
         raise ValueError("t must lie in [0, 1]")
 
-    atoms = _atom_measure(cut_dist)
     if isinstance(cut_dist, Uniform):
         total = grid_cdf.node_integrals()[-1]
         low = grid_cdf.integral_to(ts)
         high_missing = total - grid_cdf.integral_to(1.0 - ts)
         out = low + ts - high_missing
-    elif atoms is not None:
-        # Atoms are sorted, so both indicator sums are prefix/suffix sums.
-        pts, wts = atoms
-        gvals = grid_cdf(pts)
-        low_prefix = np.concatenate(([0.0], np.cumsum(wts * gvals)))
-        up_prefix = np.concatenate(([0.0], np.cumsum(wts * (1.0 - gvals))))
-        below = np.searchsorted(pts, ts, side="right")
-        above = np.searchsorted(pts, 1.0 - ts, side="left")
-        out = low_prefix[below] + (up_prefix[-1] - up_prefix[above])
     else:
-        # One measure whose panels align with the grid cells and with every
-        # query point, so prefix sums over whole panels evaluate both
-        # integrals exactly at each t.
+        # One sorted measure whose panels align with the grid cells and with
+        # every query point (atom laws are exact and ignore the breakpoints),
+        # so prefix sums over whole panels evaluate both integrals exactly.
         breaks = np.concatenate([grid_cdf.nodes, ts, 1.0 - ts])
         pts, wts = cut_dist.quadrature(breakpoints=breaks)
         gvals = grid_cdf(pts)
@@ -283,15 +262,10 @@ def band_epsilon(grid_cdf: GridCdf, delta: float) -> float:
     return float(np.max(np.abs(grid_cdf.values[band] - nodes[band])))
 
 
-def rate_bound(
+def _scaled_decay(
     grid_cdf: GridCdf, cut_dist: Distribution, delta: float, eps: float, k: int
 ) -> float:
-    """Sup-norm bound eps + ||G0 - t|| (1 - 2q)^k / (4 delta (1 - delta)).
-
-    q is the cut law's E[c(1-c)]. The hypothesis |G0(t) - t| <= eps on the
-    bands [0, delta) union (1 - delta, 1] is checked on the grid; pass
-    `band_epsilon(G0, delta)` for the tightest admissible eps.
-    """
+    """||G0 - t|| (1 - 2q)^k / (delta (1 - delta)), after checking the hypotheses."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if eps < 0.0:
@@ -304,23 +278,26 @@ def rate_bound(
         )
     rate = 1.0 - 2.0 * cut_concavity(cut_dist)
     sup = grid_cdf.sup_distance_to_identity()
-    return eps + sup * rate**k / (4.0 * delta * (1.0 - delta))
+    return sup * rate**k / (delta * (1.0 - delta))
+
+
+def rate_bound(
+    grid_cdf: GridCdf, cut_dist: Distribution, delta: float, eps: float, k: int
+) -> float:
+    """Sup-norm bound eps + ||G0 - t|| (1 - 2q)^k / (4 delta (1 - delta)).
+
+    q is the cut law's E[c(1-c)]. The hypothesis |G0(t) - t| <= eps on the
+    bands [0, delta) union (1 - delta, 1] is checked on the grid; pass
+    `band_epsilon(G0, delta)` for the tightest admissible eps.
+    """
+    return eps + _scaled_decay(grid_cdf, cut_dist, delta, eps, k) / 4.0
 
 
 def mean_rate_bound(
     grid_cdf: GridCdf, cut_dist: Distribution, delta: float, eps: float, k: int
 ) -> float:
     """Bound 2 eps + ||G0 - t|| (1 - 2q)^k / (2 delta (1 - delta)) on |mean(H_k) - mean(H)|."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    measured = band_epsilon(grid_cdf, delta)
-    if measured > eps:
-        raise BandHypothesisError(
-            f"band deviation {measured:.3e} exceeds eps={eps:.3e}"
-        )
-    rate = 1.0 - 2.0 * cut_concavity(cut_dist)
-    sup = grid_cdf.sup_distance_to_identity()
-    return 2.0 * eps + sup * rate**k / (2.0 * delta * (1.0 - delta))
+    return 2.0 * eps + _scaled_decay(grid_cdf, cut_dist, delta, eps, k) / 2.0
 
 
 def hn_mean_var(grid_cdf: GridCdf, cut_dist: Distribution) -> tuple[float, float]:

@@ -30,7 +30,7 @@ __all__ = [
 BOOTSTRAP_PERCENTILE = "bootstrap_percentile"
 WILSON = "wilson"
 
-_BOOTSTRAP_CHUNK = 256
+_CHUNK_ELEMENTS = 1 << 20  # caps each resample index matrix at ~8 MB
 
 # Asymptotic quantiles of the Kolmogorov distribution, sup|B(t)| tail.
 _KS_COEFFICIENTS = {0.10: 1.224, 0.05: 1.358, 0.02: 1.517, 0.01: 1.628}
@@ -91,9 +91,11 @@ def bootstrap_mean_ci(
 
     n = samples.size
     means = np.empty(resamples)
-    # Chunked resampling keeps the index matrix small for large samples.
-    for start in range(0, resamples, _BOOTSTRAP_CHUNK):
-        stop = min(start + _BOOTSTRAP_CHUNK, resamples)
+    # Chunked resampling bounds memory whatever the sample size; the draws
+    # do not depend on the chunk shape, so neither does the interval.
+    rows = max(1, _CHUNK_ELEMENTS // n)
+    for start in range(0, resamples, rows):
+        stop = min(start + rows, resamples)
         idx = rng.integers(0, n, size=(stop - start, n))
         means[start:stop] = samples[idx].mean(axis=1)
     alpha = 0.5 * (1.0 - level)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import Distribution, DomainError, NoDensityError
+from .distributions import Distribution, DomainError
 
 __all__ = [
     "cut_concavity",
@@ -88,9 +88,10 @@ def ell_cdf(cut_dist: Distribution, t: float) -> float:
 
 
 def ell_pdf(cut_dist: Distribution, t: float) -> float:
-    """h(t) = t (f(t) + f(1-t)) for a cut law with density f."""
-    if not cut_dist.has_density:
-        raise NoDensityError(f"{cut_dist.spec} has no density, use ell_cdf")
+    """h(t) = t (f(t) + f(1-t)) for a cut law with density f.
+
+    Laws without a density raise `NoDensityError` from their `pdf`.
+    """
     t = float(t)
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must be in (0, 1), got {t}")

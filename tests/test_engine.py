@@ -9,12 +9,12 @@ from stochbisect.distributions import Bates, Beta, DomainError, PointMass, Unifo
 from stochbisect.engine import (
     BracketError,
     CutRedrawError,
+    NonFiniteValueError,
     bisection_run,
     draw_cut,
     multisection_population_step,
     multisection_step,
     population_step,
-    rescaled_run,
     skewed_dyadic,
 )
 from stochbisect.seeding import substream
@@ -55,7 +55,8 @@ class TestDrawCut:
 
 class TestBisectionRun:
     def test_deterministic_27_iterations(self):
-        trace = bisection_run(lambda x: x - 0.5, 0.0, 1.0, PointMass(0.5),
+        # A dyadic root would be hit exactly; 0.3 never is.
+        trace = bisection_run(lambda x: x - 0.3, 0.0, 1.0, PointMass(0.5),
                               1e-8, 1000, substream(0, "det"))
         assert trace.iterations == 27
         assert trace.terminated_by == "tolerance"
@@ -120,37 +121,57 @@ class TestBisectionRun:
         ]
         assert runs[0].records == runs[1].records
 
-    def test_trace_csv_export(self):
+    def test_tiny_scale_sign_test_does_not_underflow(self):
+        # fa * fc underflows to 0 for every cut; the bracket must survive.
+        trace = bisection_run(lambda x: 1e-200 * (x - 0.3), 0.0, 1.0, Uniform(),
+                              1e-10, 200, substream(8, "tiny"), root=0.3)
+        assert trace.terminated_by == "tolerance"
+        for rec in trace.records:
+            assert rec.a <= 0.3 <= rec.b
+
+    def test_cut_on_root_stops_exactly(self):
         trace = bisection_run(lambda x: x - 0.5, 0.0, 1.0, PointMass(0.5),
-                              1e-2, 100, substream(8, "csv"), root=0.5)
-        text = trace.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "n,a,b,cut,ell,L,r_normalized"
-        assert len(lines) == trace.iterations + 1
+                              1e-8, 100, substream(8, "exact"), root=0.5)
+        assert trace.terminated_by == "exact_root"
+        last = trace.records[-1]
+        assert (trace.iterations, last.a, last.b, last.cut) == (1, 0.5, 0.5, 0.5)
+        assert (last.ell, last.L, trace.log_L[-1]) == (0.0, 0.0, -math.inf)
+
+    def test_exact_root_after_several_steps(self):
+        # Point-mass cuts on [0, 1] visit 0.5, 0.25, ... and hit 0.25 exactly.
+        trace = bisection_run(lambda x: x - 0.25, 0.0, 1.0, PointMass(0.5),
+                              1e-8, 100, substream(8, "exact2"))
+        assert trace.terminated_by == "exact_root"
+        assert [rec.cut for rec in trace.records] == [0.5, 0.25]
+        assert trace.records[-1].a == trace.records[-1].b == 0.25
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_raises(self, bad):
+        f = lambda x: bad if x == 0.5 else x - 0.3
+        # at the first cut, and at a starting endpoint
+        with pytest.raises(NonFiniteValueError):
+            bisection_run(f, 0.0, 1.0, PointMass(0.5), 1e-8, 100, substream(8, "nan"))
+        with pytest.raises(NonFiniteValueError):
+            bisection_run(f, 0.0, 0.5, Uniform(), 1e-8, 100, substream(8, "nan"))
+
+    def test_zero_at_endpoint_is_not_a_bracket(self):
+        with pytest.raises(BracketError):
+            bisection_run(lambda x: x, 0.0, 1.0, Uniform(), 1e-8, 10, substream(8, "zero"))
 
 
-class TestRescaledRun:
-    def test_deterministic_dyadic_orbit(self):
-        trace = rescaled_run(0.25, PointMass(0.5), 1e-12, 6, substream(0, "orbit"))
-        assert [rec.ell for rec in trace.records] == [0.5] * 6
-        assert [rec.L for rec in trace.records] == [2.0 ** -(n + 1) for n in range(6)]
-        assert [rec.r_normalized for rec in trace.records] == [0.5, 1.0, 1.0, 1.0, 1.0, 1.0]
-
-    def test_r0_domain(self):
-        for r0 in (0.0, 1.0, -0.5):
-            with pytest.raises(DomainError):
-                rescaled_run(r0, Uniform(), 1e-8, 10, substream(1, "dom"))
-
-    def test_first_step_roots_stay_uniform(self):
-        # stationarity of the uniform law after a single iteration
-        m = 10_000
-        rng = substream(2, "stat1")
-        roots = []
-        for _ in range(m):
-            r0 = rng.uniform()
-            trace = rescaled_run(r0, Uniform(), 1e-300, 1, rng)
-            roots.append(trace.final_root())
-        assert ks_statistic(roots) < ks_critical_value(m, alpha=0.01)
+class TestPopulationStep:
+    def test_matches_skewed_dyadic_on_replayed_cuts(self):
+        m = 2_000
+        cuts = Uniform().sample(substream(9, "replay"), size=m)
+        assert np.all((cuts > 0.0) & (cuts < 1.0))
+        roots = substream(9, "roots").uniform(size=m)
+        roots[::5] = cuts[::5]  # ties c == r keep [0, c]
+        roots[1], roots[2] = 0.0, 1.0
+        ells, new_roots = population_step(roots, Uniform(), substream(9, "replay"))
+        for c, r, ell, r_next in zip(cuts, roots, ells, new_roots):
+            assert ell == (c if c >= r else 1.0 - c)
+            assert r_next == skewed_dyadic(c, r)
+        assert np.all(ells[::5] == cuts[::5]) and np.all(new_roots[::5] == 1.0)
 
     def test_beta22_cut_mean_scaling(self):
         rng = substream(3, "beta22")
@@ -160,18 +181,6 @@ class TestRescaledRun:
             ells, roots = population_step(roots, Beta(2, 2), rng)
             total.append(ells.mean())
         assert 0.595 <= np.mean(total) <= 0.605
-
-    def test_tolerance_stops_on_small_factor(self):
-        trace = rescaled_run(0.5, Uniform(), 0.9, 100, substream(4, "tol"))
-        assert trace.terminated_by == "tolerance"
-        assert trace.records[-1].ell < 0.9
-        assert all(rec.ell >= 0.9 for rec in trace.records[:-1])
-
-    def test_product_tracks_length(self):
-        trace = rescaled_run(0.37, Beta(0.5, 2), 1e-300, 40, substream(5, "prod"))
-        prod = np.cumprod([rec.ell for rec in trace.records])
-        recorded = [rec.L for rec in trace.records]
-        assert np.allclose(recorded, prod, rtol=1e-12)
 
 
 class TestMultisection:

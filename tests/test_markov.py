@@ -191,8 +191,11 @@ class TestRateBounds:
 
     def test_hypothesis_violation_raises(self):
         grid = cubic_grid(257)
-        with pytest.raises(BandHypothesisError):
-            rate_bound(grid, Uniform(), 0.25, 1e-6, 1)
+        for bound in (rate_bound, mean_rate_bound):
+            with pytest.raises(BandHypothesisError):
+                bound(grid, Uniform(), 0.25, 1e-6, 1)
+            with pytest.raises(ValueError, match="eps must be nonnegative"):
+                bound(GridCdf.identity(257), Uniform(), 0.25, -1e-9, 1)
 
     def test_mean_bound_holds(self):
         grid = GridCdf.from_distribution(Beta(2, 2), 513)

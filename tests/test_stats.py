@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochbisect import stats
 from stochbisect.seeding import substream
 from stochbisect.stats import (
     DegenerateSampleError,
@@ -64,6 +65,14 @@ class TestBootstrap:
     def test_empty_sample_rejected(self):
         with pytest.raises(DegenerateSampleError):
             bootstrap_mean_ci([], rng=substream(0, "e"))
+
+    @pytest.mark.parametrize("n", [1, 333, 1000])
+    def test_interval_independent_of_chunk_budget(self, monkeypatch, n):
+        data = substream(2, "chunk").uniform(size=n)
+        default = bootstrap_mean_ci(data, resamples=301, rng=substream(2, "chunk-b"))
+        monkeypatch.setattr(stats, "_CHUNK_ELEMENTS", 777)
+        small = bootstrap_mean_ci(data, resamples=301, rng=substream(2, "chunk-b"))
+        assert small == default
 
 
 class TestWilson:

@@ -34,10 +34,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_common(parser: argparse.ArgumentParser, runs: int, iters: int) -> None:
+def _add_common(parser: argparse.ArgumentParser, runs: int, iters: int | None) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
     parser.add_argument("--runs", type=int, default=runs, help="number of runs")
-    parser.add_argument("--iters", type=int, default=iters, help="iterations per run")
+    if iters is not None:
+        parser.add_argument("--iters", type=int, default=iters, help="iterations per run")
     _add_output(parser)
 
 
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=1000)
     _add_bootstrap(p)
-    _add_common(p, runs=1000, iters=30)
+    _add_common(p, runs=1000, iters=None)  # runs stop at --tol or --max-iter
 
     p = sub.add_parser("stationarity", help="Q-Q and KS of the normalized roots")
     p.add_argument("--root-dist", default="uniform", help="initial root law")

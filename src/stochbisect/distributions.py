@@ -51,53 +51,54 @@ class SpecError(ValueError):
 _GL_POINTS, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MIN_PANELS = 64
 _GRADE_LEVELS = 48
+_GRADING = 2.0 ** -np.arange(_GRADE_LEVELS, 0, -1)  # 2^-48, ..., 2^-1
 
 
-def _measure_on_edges(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_measure(bounds, grade_first: bool = False, grade_last: bool = False,
+                   reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Composite 16-point Gauss-Legendre nodes/weights on sorted segment bounds.
+
+    Segment [lo, hi] between consecutive bounds gets ceil(64 (hi - lo))
+    equal panels with edges i * step + lo (the last edge exactly hi), all
+    segments built at once. Grading subdivides the first or last panel
+    geometrically (48 halvings), which restores full accuracy for
+    integrands whose higher derivatives blow up algebraically at that
+    endpoint. `reverse` lays the segments out last to first, each still in
+    increasing order.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    width = np.diff(bounds)
+    panels = np.maximum(1, np.ceil(width * _MIN_PANELS)).astype(np.intp)
+    seg = np.repeat(np.arange(width.size), panels)
+    i = np.arange(seg.size) - (np.cumsum(panels) - panels)[seg]
+    edges = np.append(i * (width / panels)[seg] + bounds[seg], bounds[-1])
+    if grade_first:
+        lo = edges[0]
+        edges = np.concatenate(([lo], lo + (edges[1] - lo) * _GRADING, edges[1:]))
+        seg = np.concatenate((np.zeros(_GRADE_LEVELS, np.intp), seg))
+    if grade_last:
+        hi = edges[-1]
+        edges = np.concatenate((edges[:-1], hi - (hi - edges[-2]) * _GRADING[::-1], [hi]))
+        seg = np.concatenate((seg, np.full(_GRADE_LEVELS, seg[-1])))
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
+    if reverse:
+        order = np.argsort(-seg, kind="stable")
+        mid, half = mid[order], half[order]
     pts = (mid[:, None] + half[:, None] * _GL_POINTS[None, :]).ravel()
     wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return pts, wts
 
 
-def _panel_measure(lo: float, hi: float, n_panels: int,
-                   grade_lo: bool = False, grade_hi: bool = False
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 16-point Gauss-Legendre nodes/weights on [lo, hi].
-
-    Grading subdivides the panel next to an endpoint geometrically (48
-    halvings), which restores full accuracy for integrands whose higher
-    derivatives blow up algebraically at that endpoint.
-    """
-    edges = np.linspace(lo, hi, n_panels + 1)
-    if grade_lo:
-        sub = lo + (edges[1] - lo) * 2.0 ** -np.arange(_GRADE_LEVELS, 0, -1)
-        edges = np.concatenate(([lo], sub, edges[1:]))
-    if grade_hi:
-        sub = hi - (hi - edges[-2]) * 2.0 ** -np.arange(1, _GRADE_LEVELS + 1)
-        edges = np.concatenate((edges[:-1], sub, [hi]))
-    return _measure_on_edges(edges)
+def _clean_edges(breakpoints) -> np.ndarray:
+    b = np.asarray(breakpoints, dtype=float).ravel()
+    return np.concatenate(([0.0], np.unique(b[(b > 0.0) & (b < 1.0)]), [1.0]))
 
 
-def _segment_panels(width: float, total: int = _MIN_PANELS) -> int:
-    return max(1, int(math.ceil(width * total)))
-
-
-def _clean_edges(breakpoints: Sequence[float]) -> list[float]:
-    inner = sorted({float(b) for b in breakpoints if 0.0 < float(b) < 1.0})
-    return [0.0] + inner + [1.0]
-
-
-def _density_measure(pdf, breakpoints: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def _density_measure(pdf, breakpoints) -> tuple[np.ndarray, np.ndarray]:
     """Panels between consecutive edges, each weighted by the density."""
-    edges = _clean_edges(breakpoints)
-    pts, wts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        p, w = _panel_measure(lo, hi, _segment_panels(hi - lo))
-        pts.append(p)
-        wts.append(w * pdf(p))
-    return np.concatenate(pts), np.concatenate(wts)
+    pts, wts = _gauss_measure(_clean_edges(breakpoints))
+    return pts, wts * pdf(pts)
 
 
 class Distribution(ABC):
@@ -228,52 +229,53 @@ class Beta(Distribution):
         # on the left, 1 - x = v^(1/b) on the right), where the integrand is
         # smooth. Splitting at 1/2 keeps the two substitutions apart.
         a, b = self.a, self.b
-        extra = [0.5] if (a < 1.0 or b < 1.0) else []
-        edges = _clean_edges(list(breakpoints) + extra)
-        frac_a = a > 1.0 and a != round(a)
-        frac_b = b > 1.0 and b != round(b)
-        pts, wts = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if a < 1.0 and hi <= 0.5 + 1e-12:
-                # x = u^(1/a); x^(a-1) dx = du / a, so the singular factor is gone.
-                u, wu = _panel_measure(lo**a, hi**a, _segment_panels(hi**a - lo**a),
-                                       grade_lo=(lo == 0.0))
-                x = u ** (1.0 / a)
-                w = wu * np.exp((b - 1.0) * np.log1p(-x) - self._log_beta) / a
-            elif b < 1.0 and lo >= 0.5 - 1e-12:
-                v_lo, v_hi = (1.0 - hi) ** b, (1.0 - lo) ** b
-                v, wv = _panel_measure(v_lo, v_hi, _segment_panels(v_hi - v_lo),
-                                       grade_lo=(hi == 1.0))
-                x = 1.0 - v ** (1.0 / b)
-                w = wv * np.exp((a - 1.0) * np.log(x) - self._log_beta) / b
-            else:
-                # Non-integer shapes above 1 keep bounded densities, but
-                # their higher derivatives still blow up at the endpoint.
-                x, wx = _panel_measure(lo, hi, _segment_panels(hi - lo),
-                                       grade_lo=(lo == 0.0 and frac_a),
-                                       grade_hi=(hi == 1.0 and frac_b))
-                w = wx * self.pdf(x)
-            pts.append(x)
-            wts.append(w)
-        pts = np.concatenate(pts)
-        wts = np.concatenate(wts)
+        edges = _clean_edges(np.append(breakpoints, [0.5] if min(a, b) < 1.0 else []))
+        # Sorted edges make the left segments a prefix and the right ones a suffix.
+        n_left = int(np.count_nonzero(edges[1:] <= 0.5 + 1e-12)) if a < 1.0 else 0
+        n_right = int(np.count_nonzero(edges[n_left:-1] >= 0.5 - 1e-12)) if b < 1.0 else 0
+        plain = edges[n_left:edges.size - n_right]
+        parts = []
+        if n_left:
+            # x = u^(1/a); x^(a-1) dx = du / a, so the singular factor is gone.
+            # The bounds use Python's float pow, correctly rounded with glibc;
+            # numpy's SIMD pow can be one ulp off and shift every panel edge.
+            u, wu = _gauss_measure([e ** a for e in edges[:n_left + 1].tolist()],
+                                   grade_first=True)
+            x = u ** (1.0 / a)
+            parts.append((x, wu * np.exp((b - 1.0) * np.log1p(-x) - self._log_beta) / a))
+        if plain.size > 1:
+            # Non-integer shapes above 1 keep bounded densities, but their
+            # higher derivatives still blow up at the endpoint.
+            x, wx = _gauss_measure(plain,
+                                   grade_first=plain[0] == 0.0 and a > 1.0 and a != round(a),
+                                   grade_last=plain[-1] == 1.0 and b > 1.0 and b != round(b))
+            parts.append((x, wx * self.pdf(x)))
+        if n_right:
+            # v runs opposite to x. Laying the segments out in x order fixes
+            # the order in which the sort below meets nodes that round to 1.
+            v_edges = [(1.0 - e) ** b for e in edges[-1 - n_right:].tolist()]
+            v, wv = _gauss_measure(v_edges[::-1], grade_first=True, reverse=True)
+            x = 1.0 - v ** (1.0 / b)
+            parts.append((x, wv * np.exp((a - 1.0) * np.log(x) - self._log_beta) / b))
+        pts, wts = (np.concatenate(c) for c in zip(*parts))
         order = np.argsort(pts)
         return pts[order], wts[order]
 
 
-def _irwin_hall_sum(n: int, y: float, power: int, divisor: float) -> float:
-    # Kahan-compensated alternating sum (1/divisor) * sum (-1)^k C(n,k) (y-k)^power.
-    total = 0.0
-    comp = 0.0
-    for k in range(int(math.floor(y)) + 1):
-        term = math.comb(n, k) * (y - k) ** power
-        if k % 2:
-            term = -term
-        t = term - comp
+def _irwin_hall(n: int, y, power: int) -> np.ndarray:
+    """Kahan-compensated (1/power!) sum_{0 <= k <= y} (-1)^k C(n,k) (y-k)^power, per y."""
+    y = np.asarray(y, dtype=float)
+    total = np.zeros_like(y)
+    comp = np.zeros_like(y)
+    for k in range(int(y.max(initial=0.0)) + 1):
+        live = y >= k
+        # np.power, not **: a numpy scalar's ** calls libm pow, whose last bit
+        # can differ from the array loop's, and pdf(x) must equal pdf([x])[0].
+        t = (-1) ** k * math.comb(n, k) * np.power(y - k, power) - comp
         s = total + t
-        comp = (s - total) - t
-        total = s
-    return total / divisor
+        comp = np.where(live, (s - total) - t, comp)
+        total = np.where(live, s, total)
+    return total / float(math.factorial(power))
 
 
 class Bates(Distribution):
@@ -282,7 +284,8 @@ class Bates(Distribution):
     Sampling is exact (average of n uniform draws). The CDF/PDF use the
     rescaled Irwin-Hall alternating sum with compensated summation, which
     is accurate in double precision for n <= 25; the theory layer only
-    needs the closed-form moments, which hold for any n.
+    needs the closed-form moments, which hold for any n. `pdf` takes a
+    scalar or an array of any shape and sums all points at once.
     """
 
     def __init__(self, n: int):
@@ -312,29 +315,24 @@ class Bates(Distribution):
         # Irwin-Hall is symmetric about n/2; the alternating sum cancels
         # catastrophically for y > n/2, so always evaluate on the left half.
         if y > 0.5 * n:
-            return min(1.0, max(0.0, 1.0 - _irwin_hall_sum(n, n - y, n, math.factorial(n))))
-        return min(1.0, max(0.0, _irwin_hall_sum(n, y, n, math.factorial(n))))
+            return min(1.0, max(0.0, 1.0 - float(_irwin_hall(n, n - y, n))))
+        return min(1.0, max(0.0, float(_irwin_hall(n, y, n))))
 
     def moments(self):
         return 0.5, 1.0 / (12.0 * self.n)
 
     def pdf(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         n = self.n
-        out = np.empty_like(xs)
-        flat = out.ravel()
-        for i, xi in enumerate(xs.ravel()):
-            y = n * xi
-            if y <= 0.0 or y >= n:
-                flat[i] = 0.0
-            else:
-                y = min(y, n - y)  # density is symmetric about n/2
-                flat[i] = n * _irwin_hall_sum(n, y, n - 1, math.factorial(n - 1))
-        return out if np.ndim(x) else float(out[0])
+        y = n * x
+        inside = (y > 0.0) & (y < n)
+        y = np.where(inside, np.minimum(y, n - y), 0.0)  # density is symmetric about n/2
+        out = np.where(inside, n * _irwin_hall(n, y, n - 1), 0.0)
+        return out if out.ndim else float(out)
 
     def quadrature(self, breakpoints=()):
-        kinks = [j / self.n for j in range(1, self.n)]
-        return _density_measure(self.pdf, list(breakpoints) + kinks)
+        kinks = np.arange(1, self.n) / self.n
+        return _density_measure(self.pdf, np.append(breakpoints, kinks))
 
 
 class PointMass(Distribution):

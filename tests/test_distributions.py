@@ -16,6 +16,7 @@ from stochbisect.distributions import (
     PointMass,
     SpecError,
     Uniform,
+    _gauss_measure,
     parse_spec,
 )
 from stochbisect.seeding import substream
@@ -182,6 +183,51 @@ class TestMoments:
             var + mu * mu, abs=1e-8)
 
 
+def _loop_gauss_measure(bounds, grade_first, grade_last, reverse):
+    # Reference: one np.linspace panel set per segment, graded and laid out
+    # segment by segment.
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    blocks = []
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        edges = np.linspace(lo, hi, max(1, math.ceil(64 * (hi - lo))) + 1)
+        if grade_first and k == 0:
+            sub = lo + (edges[1] - lo) * 2.0 ** -np.arange(48, 0, -1)
+            edges = np.concatenate(([lo], sub, edges[1:]))
+        if grade_last and k == len(bounds) - 2:
+            sub = hi - (hi - edges[-2]) * 2.0 ** -np.arange(1, 49)
+            edges = np.concatenate((edges[:-1], sub, [hi]))
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        blocks.append(((mid[:, None] + half[:, None] * gl_x).ravel(),
+                       (half[:, None] * gl_w).ravel()))
+    if reverse:
+        blocks.reverse()
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+class TestGaussMeasure:
+    BOUNDS = {
+        "unit": [0.0, 1.0],
+        "short": [0.0, 0.01],
+        "split": [0.0, 0.3, 0.5, 1.0],
+        "grid": list(np.linspace(0.0, 1.0, 65)),
+        "tiny": [0.0, 1e-300, 1e-10, 0.5, 0.5 + 1e-13, 1.0],
+        "substituted": [e ** 0.3 for e in (0.0, 0.1, 0.25, 0.5)],
+        "random": sorted(substream(4, "bounds").uniform(size=40)) + [1.0],
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    @pytest.mark.parametrize("grade_first", [False, True])
+    @pytest.mark.parametrize("grade_last", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_segment_loop_exactly(self, name, grade_first, grade_last, reverse):
+        bounds = self.BOUNDS[name]
+        got = _gauss_measure(bounds, grade_first, grade_last, reverse)
+        want = _loop_gauss_measure(bounds, grade_first, grade_last, reverse)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
 class TestStieltjesExpectation:
     def test_uniform_analytic(self):
         assert Uniform().stieltjes_expectation(lambda x: x * (1 - x)) == pytest.approx(
@@ -235,6 +281,50 @@ class TestDensity:
     def test_bates_density_integrates_to_one(self):
         val = Bates(5).stieltjes_expectation(lambda x: np.ones_like(x))
         assert val == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [10, 20, 25])
+    def test_bates_pdf_against_exact_arithmetic_oracle(self, n):
+        # Oracle: n times the Irwin-Hall(n) density at y = n x in 60-digit
+        # arithmetic, summed on the left half (y -> n - y is exact there) so
+        # that the oracle itself does not cancel; the vectorized
+        # double-precision path must stay within 1e-12 relative for n <= 25.
+        import mpmath
+
+        mpmath.mp.dps = 60
+        xs = np.array([0.05, 0.3, 0.5, 0.62, 0.9, 0.99])
+        values = Bates(n).pdf(xs)
+        for x, value in zip(xs, values):
+            y = mpmath.mpf(n) * mpmath.mpf(float(x))
+            y = min(y, n - y)
+            total = mpmath.mpf(0)
+            for k in range(int(mpmath.floor(y)) + 1):
+                total += (-1) ** k * math.comb(n, k) * (y - k) ** (n - 1)
+            oracle = float(n * total / mpmath.factorial(n - 1))
+            assert value == pytest.approx(oracle, rel=1e-12)
+
+    def test_bates_pdf_scalar_in_float_out(self):
+        value = Bates(3).pdf(0.5)
+        assert type(value) is float
+        assert value == pytest.approx(2.25, abs=1e-14)  # 3 * Irwin-Hall(3) density at 1.5
+
+    def test_bates_pdf_keeps_shape(self):
+        xs = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        values = Bates(7).pdf(xs)
+        assert values.shape == (3, 4)
+        assert np.array_equal(values.ravel(), Bates(7).pdf(xs.ravel()))
+
+    @pytest.mark.parametrize("n", [1, 2, 20])
+    def test_bates_pdf_zero_at_and_outside_endpoints(self, n):
+        assert np.all(Bates(n).pdf(np.array([-0.5, -1e-300, 0.0, 1.0, 1.5])) == 0.0)
+        assert Bates(n).pdf(0.0) == 0.0
+        assert Bates(n).pdf(1.0) == 0.0
+
+    def test_bates_pdf_array_matches_pointwise(self):
+        xs = np.concatenate([np.linspace(0.0, 1.0, 101),
+                             substream(3, "bates-pdf").uniform(size=200)])
+        dist = Bates(20)
+        values = dist.pdf(xs)
+        assert all(values[i] == dist.pdf(xs[i]) for i in range(xs.size))
 
 
 @settings(max_examples=60, deadline=None)

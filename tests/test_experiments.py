@@ -226,6 +226,13 @@ class TestCli:
     def test_bad_config_exits_2(self, capsys):
         assert main(["contraction", "--runs", "1"]) == EXIT_CONFIG
 
+    def test_fixed_root_rejects_iters(self, capsys):
+        # fixed-root runs stop at --tol or --max-iter; there is no --iters.
+        with pytest.raises(SystemExit) as exc:
+            main(["fixed-root", "--r", "0.3", "--iters", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --iters 5" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, capsys):
         code = main(["correlation", "--root-dist", "point:0.5", "--dist", "point:0.5",
                      "--runs", "2", "--iters", "3"])

@@ -21,7 +21,9 @@ CUTS = str(GOLDEN / "cuts.txt")
 
 # One small config per experiment, plus the cut laws whose operator and
 # quadrature paths differ: a Beta and a Bates density, a point mass and an
-# empirical law (exact atoms), and the closed-form uniform case.
+# empirical law (exact atoms), and the closed-form uniform case. The Beta
+# laws cover every quadrature region: left substitution (a < 1), right
+# substitution (b < 1), both at once, and graded fractional shapes.
 COMMANDS = {
     "contraction": "contraction --dist beta:2,2 --runs 20 --iters 10 --resamples 200",
     "ksection": "ksection --k 2 --runs 20 --iters 10 --resamples 200",
@@ -35,9 +37,12 @@ COMMANDS = {
     "operator_bates": "operator --g0 beta:0.5,2 --dist bates:3 --k 2 --grid 65",
     "operator_point": "operator --g0 cubic --dist point:0.3 --k 3 --grid 129",
     "operator_empirical": f"operator --g0 cubic --dist empirical:{CUTS} --k 3 --grid 129",
+    "operator_beta_singular": "operator --g0 cubic --dist beta:0.5,0.5 --k 2 --grid 65",
     "theory_uniform": "theory --dist uniform",
     "theory_bates": "theory --dist bates:20",
     "theory_beta": "theory --dist beta:0.5,2",
+    "theory_beta_right": "theory --dist beta:2,0.5",
+    "theory_beta_fractional": "theory --dist beta:2.5,1.5",
     "theory_point": "theory --dist point:0.3",
     "theory_empirical": f"theory --dist empirical:{CUTS}",
 }

@@ -54,8 +54,8 @@ _GRADE_LEVELS = 48
 _GRADING = 2.0 ** -np.arange(_GRADE_LEVELS, 0, -1)  # 2^-48, ..., 2^-1
 
 
-def _gauss_measure(bounds, grade_first: bool = False, grade_last: bool = False,
-                   reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_measure(bounds, grade_first: bool = False,
+                   grade_last: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Composite 16-point Gauss-Legendre nodes/weights on sorted segment bounds.
 
     Segment [lo, hi] between consecutive bounds gets ceil(64 (hi - lo))
@@ -63,8 +63,7 @@ def _gauss_measure(bounds, grade_first: bool = False, grade_last: bool = False,
     segments built at once. Grading subdivides the first or last panel
     geometrically (48 halvings), which restores full accuracy for
     integrands whose higher derivatives blow up algebraically at that
-    endpoint. `reverse` lays the segments out last to first, each still in
-    increasing order.
+    endpoint.
     """
     bounds = np.asarray(bounds, dtype=float)
     width = np.diff(bounds)
@@ -75,19 +74,20 @@ def _gauss_measure(bounds, grade_first: bool = False, grade_last: bool = False,
     if grade_first:
         lo = edges[0]
         edges = np.concatenate(([lo], lo + (edges[1] - lo) * _GRADING, edges[1:]))
-        seg = np.concatenate((np.zeros(_GRADE_LEVELS, np.intp), seg))
     if grade_last:
         hi = edges[-1]
         edges = np.concatenate((edges[:-1], hi - (hi - edges[-2]) * _GRADING[::-1], [hi]))
-        seg = np.concatenate((seg, np.full(_GRADE_LEVELS, seg[-1])))
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    if reverse:
-        order = np.argsort(-seg, kind="stable")
-        mid, half = mid[order], half[order]
     pts = (mid[:, None] + half[:, None] * _GL_POINTS[None, :]).ravel()
     wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return pts, wts
+
+
+def _merge_ties(pts, wts) -> tuple[np.ndarray, np.ndarray]:
+    """Pool the weights of equal nodes (panels narrower than an ulp make them)."""
+    nodes, inverse = np.unique(pts, return_inverse=True)
+    return nodes, np.bincount(inverse, weights=wts)
 
 
 def _clean_edges(breakpoints) -> np.ndarray:
@@ -98,7 +98,7 @@ def _clean_edges(breakpoints) -> np.ndarray:
 def _density_measure(pdf, breakpoints) -> tuple[np.ndarray, np.ndarray]:
     """Panels between consecutive edges, each weighted by the density."""
     pts, wts = _gauss_measure(_clean_edges(breakpoints))
-    return pts, wts * pdf(pts)
+    return _merge_ties(pts, wts * pdf(pts))
 
 
 class Distribution(ABC):
@@ -131,7 +131,8 @@ class Distribution(ABC):
         Exact for atom-bearing laws. For densities it is a composite
         Gauss-Legendre rule whose panel edges include the given
         breakpoints, so integrands with kinks or jumps at those points
-        are integrated accurately.
+        are integrated accurately. The points strictly increase, and the
+        weights are nonnegative and sum to 1 up to rounding.
         """
 
     def stieltjes_expectation(
@@ -200,8 +201,12 @@ class Beta(Distribution):
 
     def sample(self, rng, size=None):
         x = rng.standard_gamma(self.a, size=size)
-        y = rng.standard_gamma(self.b, size=size)
-        return x / (x + y)
+        total = x + rng.standard_gamma(self.b, size=size)
+        # Both variates underflow to 0 for tiny shapes; x / total is then 0/0.
+        if (total == 0.0) if size is None else not total.all():
+            raise ArithmeticError(
+                f"{self.spec} draw failed: both gamma variates underflowed to 0")
+        return x / total
 
     def cdf(self, x):
         return regularized_incomplete_beta(self.a, self.b, self._check_domain(x))
@@ -215,8 +220,10 @@ class Beta(Distribution):
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            logpdf = (self.a - 1.0) * np.log(x) + (self.b - 1.0) * np.log1p(-x) - self._log_beta
-            out = np.exp(logpdf)
+            # A shape of exactly 1 has no factor; 0 * log(0) would be NaN.
+            left = (self.a - 1.0) * np.log(x) if self.a != 1.0 else 0.0
+            right = (self.b - 1.0) * np.log1p(-x) if self.b != 1.0 else 0.0
+            out = np.exp(left + right - self._log_beta)
         # 0 * log(0) endpoints: the density limit is 0 when the shape > 1.
         out = np.where((x == 0.0) & (self.a > 1.0), 0.0, out)
         out = np.where((x == 1.0) & (self.b > 1.0), 0.0, out)
@@ -251,15 +258,17 @@ class Beta(Distribution):
                                    grade_last=plain[-1] == 1.0 and b > 1.0 and b != round(b))
             parts.append((x, wx * self.pdf(x)))
         if n_right:
-            # v runs opposite to x. Laying the segments out in x order fixes
-            # the order in which the sort below meets nodes that round to 1.
+            # 1 - x = v^(1/b), so v runs opposite to x.
             v_edges = [(1.0 - e) ** b for e in edges[-1 - n_right:].tolist()]
-            v, wv = _gauss_measure(v_edges[::-1], grade_first=True, reverse=True)
+            v, wv = _gauss_measure(v_edges[::-1], grade_first=True)
             x = 1.0 - v ** (1.0 / b)
             parts.append((x, wv * np.exp((a - 1.0) * np.log(x) - self._log_beta) / b))
-        pts, wts = (np.concatenate(c) for c in zip(*parts))
-        order = np.argsort(pts)
-        return pts[order], wts[order]
+        return _merge_ties(*(np.concatenate(c) for c in zip(*parts)))
+
+
+# The alternating sum cancels: against exact arithmetic its pdf is within
+# 4e-13 relative at n = 25 and only within 3e-12 at n = 30.
+_BATES_MAX_N = 25
 
 
 def _irwin_hall(n: int, y, power: int) -> np.ndarray:
@@ -281,11 +290,12 @@ def _irwin_hall(n: int, y, power: int) -> np.ndarray:
 class Bates(Distribution):
     """Bates(n): the mean of n i.i.d. uniforms on [0, 1].
 
-    Sampling is exact (average of n uniform draws). The CDF/PDF use the
-    rescaled Irwin-Hall alternating sum with compensated summation, which
-    is accurate in double precision for n <= 25; the theory layer only
-    needs the closed-form moments, which hold for any n. `pdf` takes a
-    scalar or an array of any shape and sums all points at once.
+    Sampling is exact (average of n uniform draws) and the closed-form
+    moments hold for any n. The CDF/PDF use the rescaled Irwin-Hall
+    alternating sum with compensated summation, which is accurate in
+    double precision only for n <= 25: beyond that `cdf` and `pdf`, and so
+    `quadrature`, raise `ArithmeticError`. `pdf` takes a scalar or an
+    array of any shape and sums all points at once.
     """
 
     def __init__(self, n: int):
@@ -304,7 +314,14 @@ class Bates(Distribution):
         draws = rng.uniform(size=shape).mean(axis=0)
         return float(draws) if size is None else draws
 
+    def _check_accuracy(self) -> None:
+        if self.n > _BATES_MAX_N:
+            raise ArithmeticError(
+                f"{self.spec}: the Irwin-Hall sum behind cdf and pdf is accurate "
+                f"only for n <= {_BATES_MAX_N}")
+
     def cdf(self, x):
+        self._check_accuracy()
         x = self._check_domain(x)
         n = self.n
         y = n * x
@@ -322,6 +339,7 @@ class Bates(Distribution):
         return 0.5, 1.0 / (12.0 * self.n)
 
     def pdf(self, x):
+        self._check_accuracy()
         x = np.asarray(x, dtype=float)
         n = self.n
         y = n * x
@@ -362,16 +380,22 @@ class PointMass(Distribution):
 
 
 class Empirical(Distribution):
-    """Law of a finite sample: resampling draws, step-function CDF."""
+    """Law of a finite sample: resampling draws, step-function CDF.
+
+    The samples must be finite and lie in [0, 1].
+    """
 
     def __init__(self, samples: Sequence[float]):
         values = np.sort(np.asarray(samples, dtype=float))
         if values.size == 0:
             raise ValueError("empirical law needs at least one sample")
-        if values[0] < 0.0 or values[-1] > 1.0:
-            raise ValueError("empirical samples must lie in [0, 1]")
+        # Written so that NaN, which sorts last, fails it too.
+        if not (values[0] >= 0.0 and values[-1] <= 1.0):
+            raise ValueError("empirical samples must be finite and lie in [0, 1]")
         self.samples = values
-        self.samples.flags.writeable = False
+        self._atoms = _merge_ties(values, np.full(values.size, 1.0 / values.size))
+        for array in (self.samples, *self._atoms):
+            array.flags.writeable = False
 
     @property
     def spec(self) -> str:
@@ -391,8 +415,7 @@ class Empirical(Distribution):
         return mu, var
 
     def quadrature(self, breakpoints=()):
-        m = self.samples.size
-        return self.samples, np.full(m, 1.0 / m)
+        return self._atoms
 
 
 def parse_spec(text: str) -> Distribution:

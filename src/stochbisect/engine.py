@@ -237,8 +237,11 @@ def population_step(
     cuts = _draw_cuts(cut_dist, rng, roots.size).reshape(roots.shape)
     keep_low = cuts >= roots
     ells = np.where(keep_low, cuts, 1.0 - cuts)
+    # r / c overflows only for a tiny cut c < r, where the other branch is kept.
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = roots / cuts
     with np.errstate(invalid="ignore"):
-        new_roots = np.where(keep_low, roots / cuts, (roots - cuts) / (1.0 - cuts))
+        new_roots = np.where(keep_low, low, (roots - cuts) / (1.0 - cuts))
     return ells, new_roots
 
 

@@ -17,6 +17,7 @@ from stochbisect.distributions import (
     SpecError,
     Uniform,
     _gauss_measure,
+    _merge_ties,
     parse_spec,
 )
 from stochbisect.seeding import substream
@@ -43,6 +44,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Empirical([0.5, 1.3])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_empirical_rejects_non_finite_samples(self, bad):
+        # NaN sorts last and fails both range comparisons, so it needs its
+        # own rejection.
+        with pytest.raises(ValueError, match="finite"):
+            Empirical([0.2, bad, 0.7])
+
+    def test_empirical_pools_repeats_into_one_atom(self):
+        emp = Empirical([0.4, 0.2, 0.8, 0.4])
+        pts, wts = emp.quadrature()
+        assert list(pts) == [0.2, 0.4, 0.8]
+        assert list(wts) == [0.25, 0.5, 0.25]
+        assert list(emp.samples) == [0.2, 0.4, 0.4, 0.8]  # resampling keeps repeats
+
 
 class TestSampling:
     def test_point_mass_every_sample_exact(self):
@@ -66,6 +81,25 @@ class TestSampling:
     def test_samples_in_unit_interval(self, dist):
         draws = np.atleast_1d(dist.sample(substream(4, dist.spec), size=10_000))
         assert np.all((draws >= 0.0) & (draws <= 1.0))
+
+    @pytest.mark.parametrize("a,b", [(0.5, 2.0), (2.0, 2.0), (0.01, 0.01)])
+    def test_beta_draws_are_gamma_ratios(self, a, b):
+        got = Beta(a, b).sample(substream(8, "ratio"), size=1000)
+        rng = substream(8, "ratio")
+        x = rng.standard_gamma(a, size=1000)
+        y = rng.standard_gamma(b, size=1000)
+        assert np.array_equal(got, x / (x + y))
+
+    def test_beta_gamma_underflow_raises(self):
+        # For shapes this small both gamma variates underflow to 0 in about
+        # 1% of draws, and x / (x + y) would be a silent 0/0 = NaN.
+        dist = Beta(0.003, 0.003)
+        with pytest.raises(ArithmeticError, match="underflowed"):
+            dist.sample(substream(8, "underflow"), size=100_000)
+        rng = substream(8, "underflow-scalar")
+        with pytest.raises(ArithmeticError, match="underflowed"):
+            for _ in range(10_000):
+                dist.sample(rng)
 
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.spec)
     def test_bit_reproducible(self, dist):
@@ -185,7 +219,7 @@ class TestMoments:
 
 def _loop_gauss_measure(bounds, grade_first, grade_last, reverse):
     # Reference: one np.linspace panel set per segment, graded and laid out
-    # segment by segment.
+    # segment by segment, last to first if `reverse`.
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     blocks = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -221,11 +255,64 @@ class TestGaussMeasure:
     @pytest.mark.parametrize("grade_last", [False, True])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_per_segment_loop_exactly(self, name, grade_first, grade_last, reverse):
+        # The builder lays segments out in increasing order. Once ties are
+        # merged the measure no longer depends on that layout, which is why
+        # Beta.quadrature may build its right block opposite to x.
         bounds = self.BOUNDS[name]
-        got = _gauss_measure(bounds, grade_first, grade_last, reverse)
+        got = _gauss_measure(bounds, grade_first, grade_last)
         want = _loop_gauss_measure(bounds, grade_first, grade_last, reverse)
+        if reverse:
+            got, want = _merge_ties(*got), _merge_ties(*want)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+def _breakpoint_sets():
+    rng = substream(11, "breakpoints")
+    sets = {
+        "none": (),
+        "0.3": (0.3,),
+        "0.5": (0.5,),
+        "quarters": (0.25, 0.75),
+        "near-half": (0.5 - 1e-13, 0.5, 0.5 + 1e-13),
+        "out-of-range-and-repeated": (-0.5, 0.0, 0.3, 0.3, 1.0, 1.5),
+        "near-endpoints": (1e-300, 1.0 - 1e-16),
+        "random": tuple(rng.uniform(size=50)),
+        "0.37-0.63": (0.37, 0.63),
+    }
+    # The grids with 1025 and 2049 nodes are left out for run time: the
+    # ell-2049 set below contains both.
+    for n in (65, 129, 257, 513):
+        sets[f"grid-{n}"] = tuple(np.linspace(0.0, 1.0, n))
+    for n in (65, 257, 2049):
+        # ell_cdf_general's set: grid nodes, t and 1 - t, which can land one
+        # ulp from a node and leave a panel narrower than its 16 nodes.
+        nodes = np.linspace(0.0, 1.0, n)
+        sets[f"ell-{n}"] = tuple(np.concatenate([nodes, nodes, 1.0 - nodes]))
+    return sets
+
+
+BREAKPOINT_SETS = _breakpoint_sets()
+SHAPES = [0.01, 0.02, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1, 1.5, 2, 2.5, 3, 5, 7.3, 50]
+MEASURE_LAWS = (
+    [Uniform(), PointMass(0.3), Empirical([0.1, 0.2, 0.2, 0.9, 0.9, 0.9, 0.0, 1.0])]
+    + [Bates(n) for n in range(1, 26)]
+    + [Beta(a, b) for a in SHAPES for b in SHAPES]
+)
+
+
+@pytest.mark.parametrize("dist", MEASURE_LAWS, ids=lambda d: d.spec)
+def test_quadrature_is_a_measure_on_distinct_increasing_nodes(dist):
+    for name, breakpoints in BREAKPOINT_SETS.items():
+        pts, wts = dist.quadrature(breakpoints)
+        assert pts.shape == wts.shape, name
+        assert np.all(np.diff(pts) > 0.0), name
+        assert np.all(wts >= 0.0), name
+        # A breakpoint this close to an endpoint defeats the endpoint grading
+        # of fractional Beta shapes, which loses up to 2e-5 of mass; that
+        # defect is tracked separately, so only order and sign are checked.
+        if name != "near-endpoints":
+            assert abs(wts.sum() - 1.0) < 1e-12, name
 
 
 class TestStieltjesExpectation:
@@ -302,6 +389,24 @@ class TestDensity:
             oracle = float(n * total / mpmath.factorial(n - 1))
             assert value == pytest.approx(oracle, rel=1e-12)
 
+    def test_bates_density_and_cdf_refuse_n_above_25(self):
+        # The alternating sum loses accuracy past n = 25; sampling and the
+        # closed-form moments do not use it and stay valid.
+        dist = Bates(26)
+        for evaluate in (dist.pdf, dist.cdf):
+            with pytest.raises(ArithmeticError, match="n <= 25"):
+                evaluate(0.5)
+        with pytest.raises(ArithmeticError, match="n <= 25"):
+            dist.quadrature()
+        assert dist.moments() == (0.5, 1.0 / (12.0 * 26))
+        assert abs(dist.sample(substream(3, "bates26"), size=10_000).mean() - 0.5) < 0.01
+
+    def test_beta_unit_shape_density_at_endpoints(self):
+        # A shape of exactly 1 has no endpoint factor; 0 * log(0) is not NaN.
+        assert Beta(1, 1).pdf(np.array([0.0, 1.0])).tolist() == [1.0, 1.0]
+        assert Beta(2, 1).pdf(1.0) == pytest.approx(2.0, rel=1e-14)
+        assert Beta(1, 3).pdf(0.0) == pytest.approx(3.0, rel=1e-14)
+
     def test_bates_pdf_scalar_in_float_out(self):
         value = Bates(3).pdf(0.5)
         assert type(value) is float
@@ -367,6 +472,12 @@ class TestSpecParsing:
     def test_round_trip_through_spec(self):
         for text in ("uniform", "beta:0.5,2", "bates:20", "point:0.5"):
             assert parse_spec(text).spec == text
+
+    def test_empirical_non_finite_line_is_a_spec_error(self, tmp_path):
+        path = tmp_path / "values.csv"
+        path.write_text("0.2\nnan\n0.7\n")
+        with pytest.raises(SpecError, match="finite"):
+            parse_spec(f"empirical:{path}")
 
     def test_empirical_reads_file(self, tmp_path):
         path = tmp_path / "values.csv"

@@ -173,6 +173,16 @@ class TestPopulationStep:
             assert r_next == skewed_dyadic(c, r)
         assert np.all(ells[::5] == cuts[::5]) and np.all(new_roots[::5] == 1.0)
 
+    def test_tiny_cut_does_not_warn(self):
+        # r / c overflows for the subnormal cut, but only where c < r, whose
+        # branch is discarded; the suite turns any warning into an error.
+        c = 1e-310
+        roots = np.array([0.0, 1e-320, 0.5, 1.0])
+        ells, new_roots = population_step(roots, PointMass(c), substream(9, "tiny"))
+        for r, ell, r_next in zip(roots, ells, new_roots):
+            assert ell == (c if c >= r else 1.0 - c)
+            assert r_next == skewed_dyadic(c, r)
+
     def test_beta22_cut_mean_scaling(self):
         rng = substream(3, "beta22")
         roots = rng.uniform(size=10_000)

@@ -250,6 +250,32 @@ class TestCli:
                      "--k", "2", "--grid", "257"])
         assert code == EXIT_NUMERICAL
 
+    def test_non_finite_empirical_sample_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "cuts.csv"
+        data.write_text("0.2\nnan\n0.7\n")
+        assert main(["theory", "--dist", f"empirical:{data}"]) == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--dist", "bates:100"],
+        ["operator", "--g0", "cubic", "--dist", "bates:100", "--k", "1", "--grid", "65"],
+    ])
+    def test_bates_density_beyond_n_25_exits_3(self, argv, capsys):
+        assert main(argv) == EXIT_NUMERICAL
+        assert "n <= 25" in capsys.readouterr().err
+
+    def test_bates_sampling_beyond_n_25_still_runs(self, tmp_path):
+        # contraction needs only draws and the closed-form moments.
+        out = tmp_path / "r.csv"
+        assert main(["contraction", "--dist", "bates:100", "--runs", "20", "--iters", "5",
+                     "--seed", str(SEED), "--out", str(out)]) == EXIT_OK
+
+    def test_beta_gamma_underflow_exits_3(self, capsys):
+        code = main(["stationarity", "--dist", "beta:0.003,0.003", "--runs", "1000",
+                     "--iters", "10", "--seed", str(SEED)])
+        assert code == EXIT_NUMERICAL
+        assert "underflowed" in capsys.readouterr().err
+
     def test_stdout_default(self, capsys):
         assert main(["theory", "--dist", "uniform"]) == EXIT_OK
         captured = capsys.readouterr()

@@ -1,7 +1,9 @@
 """Command-line experiment runner.
 
-Subcommands map one to one onto the experiment functions; reports are
-written as CSV (default) or JSON to stdout or --out. Exit codes: 0 on
+Subcommands map one to one onto the experiment functions, and each flag
+is a keyword argument of its function. Omitted flags stay out of the
+parsed namespace, so the function's signature holds every default. Reports
+are written as CSV (default) or JSON to stdout or --out. Exit codes: 0 on
 success, 2 on argument or spec errors, 3 on numerical precondition
 failures (invalid bracket, endpoint atoms, degenerate samples).
 """
@@ -16,7 +18,7 @@ from .engine import BracketError, CutRedrawError
 from .markov import BandHypothesisError, EndpointAtomError
 from .stats import DegenerateSampleError
 from . import experiments
-from .experiments import DEFAULT_SEED, report_to_csv, report_to_json
+from .experiments import report_to_csv, report_to_json
 
 _NUMERICAL_ERRORS = (
     BracketError,
@@ -34,11 +36,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_common(parser: argparse.ArgumentParser, runs: int, iters: int | None) -> None:
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-    parser.add_argument("--runs", type=int, default=runs, help="number of runs")
-    if iters is not None:
-        parser.add_argument("--iters", type=int, default=iters, help="iterations per run")
+def _add_common(parser: argparse.ArgumentParser, iters: bool = True) -> None:
+    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--runs", type=int, help="number of runs")
+    if iters:
+        parser.add_argument("--iters", type=int, help="iterations per run")
     _add_output(parser)
 
 
@@ -48,9 +50,8 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_bootstrap(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--level", type=float, default=0.95, help="CI level")
-    parser.add_argument("--resamples", type=int, default=2000,
-                        help="bootstrap resample count")
+    parser.add_argument("--level", type=float, help="CI level")
+    parser.add_argument("--resamples", type=int, help="bootstrap resample count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,93 +62,82 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("contraction", help="Mean scaling factor of random-cut bisection vs theory")
-    p.add_argument("--dist", default="uniform", help="cut distribution spec")
-    p.add_argument("--tol", type=float, default=1e-15)
+    p = sub.add_parser("contraction", argument_default=argparse.SUPPRESS,
+                       help="Mean scaling factor of random-cut bisection vs theory")
+    p.set_defaults(run=experiments.run_contraction_experiment)
+    p.add_argument("--dist", help="cut distribution spec")
+    p.add_argument("--tol", type=float)
     _add_bootstrap(p)
-    _add_common(p, runs=500, iters=30)
+    _add_common(p)
 
-    p = sub.add_parser("ksection", help="K-cut scaling factor vs 2/(K+2)")
-    p.add_argument("--k", type=int, default=2, help="cuts per iteration")
+    p = sub.add_parser("ksection", argument_default=argparse.SUPPRESS,
+                       help="K-cut scaling factor vs 2/(K+2)")
+    p.set_defaults(run=experiments.run_ksection_experiment)
+    p.add_argument("--k", type=int, help="cuts per iteration")
     _add_bootstrap(p)
-    _add_common(p, runs=500, iters=30)
+    _add_common(p)
 
-    p = sub.add_parser("fixed-root", help="Iteration-count statistics for a fixed root")
+    p = sub.add_parser("fixed-root", argument_default=argparse.SUPPRESS,
+                       help="Iteration-count statistics for a fixed root")
+    p.set_defaults(run=experiments.run_fixed_root_experiment)
     p.add_argument("--r", type=float, required=True, help="fixed root in (0,1)")
-    p.add_argument("--dist", default="uniform", help="cut distribution spec")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--dist", help="cut distribution spec")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int)
     _add_bootstrap(p)
-    _add_common(p, runs=1000, iters=None)  # runs stop at --tol or --max-iter
+    _add_common(p, iters=False)  # runs stop at --tol or --max-iter
 
-    p = sub.add_parser("stationarity", help="Q-Q and KS of the normalized roots")
-    p.add_argument("--root-dist", default="uniform", help="initial root law")
-    p.add_argument("--dist", default="uniform", help="cut distribution spec")
-    p.add_argument("--alpha", type=float, default=0.01, help="KS test level")
-    _add_common(p, runs=1000, iters=40)
+    p = sub.add_parser("stationarity", argument_default=argparse.SUPPRESS,
+                       help="Q-Q and KS of the normalized roots")
+    p.set_defaults(run=experiments.run_stationarity_experiment)
+    p.add_argument("--root-dist", help="initial root law")
+    p.add_argument("--dist", help="cut distribution spec")
+    p.add_argument("--alpha", type=float, help="KS test level")
+    _add_common(p)
 
-    p = sub.add_parser("decay", help="KS decay toward uniform and its fitted rate")
+    p = sub.add_parser("decay", argument_default=argparse.SUPPRESS,
+                       help="KS decay toward uniform and its fitted rate")
+    p.set_defaults(run=experiments.run_decay_experiment)
     p.add_argument("--root-dist", required=True, help="initial root law")
-    p.add_argument("--dist", default="uniform", help="cut distribution spec")
-    _add_common(p, runs=10_000, iters=50)
+    p.add_argument("--dist", help="cut distribution spec")
+    _add_common(p)
 
-    p = sub.add_parser("correlation", help="Correlation matrix of scaling factors")
+    p = sub.add_parser("correlation", argument_default=argparse.SUPPRESS,
+                       help="Correlation matrix of scaling factors")
+    p.set_defaults(run=experiments.run_correlation_experiment)
     p.add_argument("--root-dist", required=True, help="initial root law")
     p.add_argument("--dist", required=True, help="cut distribution spec")
-    _add_common(p, runs=10_000, iters=14)
+    _add_common(p)
 
-    p = sub.add_parser("operator", help="Iterate the root-law operator on a grid CDF")
-    p.add_argument("--g0", default="cubic",
-                   help="starting CDF: a distribution spec, 'cubic', or 'identity'")
-    p.add_argument("--dist", default="uniform", help="cut distribution spec")
-    p.add_argument("--k", type=int, default=30, help="operator applications")
-    p.add_argument("--grid", type=int, default=2049, help="grid nodes")
-    p.add_argument("--delta", type=float, default=0.25, help="band width for the bound")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p = sub.add_parser("operator", argument_default=argparse.SUPPRESS,
+                       help="Iterate the root-law operator on a grid CDF")
+    p.set_defaults(run=experiments.run_operator_experiment)
+    p.add_argument("--g0", help="starting CDF: a distribution spec, 'cubic', or 'identity'")
+    p.add_argument("--dist", help="cut distribution spec")
+    p.add_argument("--k", type=int, help="operator applications")
+    p.add_argument("--grid", type=int, help="grid nodes")
+    p.add_argument("--delta", type=float, help="band width for the bound")
+    p.add_argument("--seed", type=int, help="master seed")
     _add_output(p)
 
-    p = sub.add_parser("theory", help="Closed-form values for a distribution spec")
+    p = sub.add_parser("theory", argument_default=argparse.SUPPRESS,
+                       help="Closed-form values for a distribution spec")
+    p.set_defaults(run=experiments.run_theory_report)
     p.add_argument("--dist", required=True, help="distribution spec")
-    p.add_argument("--k-max", type=int, default=6)
+    p.add_argument("--k-max", type=int)
     _add_output(p)
 
     return parser
 
 
-def _run(args: argparse.Namespace) -> experiments.ExperimentReport:
-    if args.command == "contraction":
-        return experiments.run_contraction_experiment(
-            args.dist, args.runs, args.iters, args.tol, args.seed,
-            args.level, args.resamples)
-    if args.command == "ksection":
-        return experiments.run_ksection_experiment(
-            args.k, args.runs, args.iters, args.seed, args.level, args.resamples)
-    if args.command == "fixed-root":
-        return experiments.run_fixed_root_experiment(
-            args.r, args.dist, args.tol, args.runs, args.seed,
-            args.max_iter, args.level, args.resamples)
-    if args.command == "stationarity":
-        return experiments.run_stationarity_experiment(
-            args.root_dist, args.dist, args.runs, args.iters, args.seed, args.alpha)
-    if args.command == "decay":
-        return experiments.run_decay_experiment(
-            args.root_dist, args.dist, args.runs, args.iters, args.seed)
-    if args.command == "correlation":
-        return experiments.run_correlation_experiment(
-            args.root_dist, args.dist, args.runs, args.iters, args.seed)
-    if args.command == "operator":
-        return experiments.run_operator_experiment(
-            args.g0, args.dist, args.k, args.grid, args.delta, args.seed)
-    if args.command == "theory":
-        return experiments.run_theory_report(args.dist, args.k_max)
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    kwargs = vars(parser.parse_args(argv))
+    del kwargs["command"]
+    run = kwargs.pop("run")
+    fmt, out = kwargs.pop("format"), kwargs.pop("out")
     try:
-        report = _run(args)
+        report = run(**kwargs)
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -155,9 +145,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    text = report_to_json(report) if args.format == "json" else report_to_csv(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    text = report_to_json(report) if fmt == "json" else report_to_csv(report)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -172,7 +172,8 @@ class Uniform(Distribution):
         return 0.5, 1.0 / 12.0
 
     def pdf(self, x):
-        return np.ones_like(np.asarray(x, dtype=float))
+        out = np.ones_like(np.asarray(x, dtype=float))
+        return out if out.ndim else float(out)
 
     def quadrature(self, breakpoints=()):
         return _density_measure(self.pdf, breakpoints)

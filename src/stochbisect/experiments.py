@@ -281,7 +281,7 @@ def _scaling_cells(
 
 
 def run_contraction_experiment(
-    cut_spec: str = "uniform",
+    dist: str = "uniform",
     runs: int = 500,
     iters: int = 30,
     tol: float = 1e-15,
@@ -298,7 +298,7 @@ def run_contraction_experiment(
     """
     if runs < 2 or iters < 1:
         raise ValueError("need runs >= 2 and iters >= 1")
-    cut_dist = parse_spec(cut_spec)
+    cut_dist = parse_spec(dist)
     start = time.perf_counter()
 
     ells = np.empty((runs, iters))
@@ -306,8 +306,7 @@ def run_contraction_experiment(
     for m in range(runs):
         rng = substream(seed, "contraction", m)
         root = float(rng.uniform())
-        trace = bisection_run(lambda x: x - root, 0.0, 1.0, cut_dist,
-                              tol, iters, rng, root=root)
+        trace = bisection_run(lambda x: x - root, 0.0, 1.0, cut_dist, tol, iters, rng)
         run_ells = trace.ells()
         ells[m, : run_ells.size] = run_ells
         ells[m, run_ells.size:] = np.nan
@@ -369,7 +368,7 @@ def run_ksection_experiment(
 
 def run_fixed_root_experiment(
     r: float,
-    cut_spec: str = "uniform",
+    dist: str = "uniform",
     tol: float = 1e-8,
     runs: int = 1000,
     seed: int = DEFAULT_SEED,
@@ -387,15 +386,14 @@ def run_fixed_root_experiment(
         raise ValueError(f"fixed root must lie in (0, 1), got {r}")
     if runs < 2:
         raise ValueError("need runs >= 2")
-    cut_dist = parse_spec(cut_spec)
+    cut_dist = parse_spec(dist)
     start = time.perf_counter()
 
     baseline = deterministic_iterations(tol)
     counts = np.empty(runs)
     for m in range(runs):
         rng = substream(seed, "fixed-root", m)
-        trace = bisection_run(lambda x: x - r, 0.0, 1.0, cut_dist,
-                              tol, max_iter, rng, root=r)
+        trace = bisection_run(lambda x: x - r, 0.0, 1.0, cut_dist, tol, max_iter, rng)
         counts[m] = trace.iterations
 
     mean_ci = stats.bootstrap_mean_ci(
@@ -423,8 +421,8 @@ _ENDPOINT_EPS = 1e-12
 
 
 def run_stationarity_experiment(
-    root_spec: str = "uniform",
-    cut_spec: str = "uniform",
+    root_dist: str = "uniform",
+    dist: str = "uniform",
     runs: int = 1000,
     iters: int = 40,
     seed: int = DEFAULT_SEED,
@@ -439,12 +437,12 @@ def run_stationarity_experiment(
     """
     if runs < 2 or iters < 1:
         raise ValueError("need runs >= 2 and iters >= 1")
-    root_dist = parse_spec(root_spec)
-    cut_dist = parse_spec(cut_spec)
+    root_law = parse_spec(root_dist)
+    cut_dist = parse_spec(dist)
     start = time.perf_counter()
 
     rng = substream(seed, "stationarity")
-    roots = np.asarray(root_dist.sample(rng, size=runs), dtype=float)
+    roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
     critical = stats.ks_critical_value(runs, alpha)
     ks_rows = []
     for n in range(1, iters + 1):
@@ -457,7 +455,7 @@ def run_stationarity_experiment(
     ))
     report = ExperimentReport(
         "stationarity",
-        {"root": root_dist.spec, "cut": cut_dist.spec, "runs": runs,
+        {"root": root_law.spec, "cut": cut_dist.spec, "runs": runs,
          "iters": iters, "seed": seed, "alpha": alpha},
         [
             Cell("ks_statistic", value=ks),
@@ -479,9 +477,9 @@ def run_stationarity_experiment(
 
 
 def run_decay_experiment(
-    root_spec: str,
-    cut_spec: str = "uniform",
-    population: int = 10_000,
+    root_dist: str,
+    dist: str = "uniform",
+    runs: int = 10_000,
     iters: int = 50,
     seed: int = DEFAULT_SEED,
 ) -> ExperimentReport:
@@ -494,16 +492,16 @@ def run_decay_experiment(
     rho is under 2/N is flagged as having no decay signal. The reference
     rate is 1 - 2(mu - mu^2 - sigma^2) of the initial root law.
     """
-    if population < 100:
-        raise ValueError("need population >= 100")
+    if runs < 100:
+        raise ValueError("need runs >= 100")
     if iters < 2:
         raise ValueError("need iters >= 2")
-    root_dist = parse_spec(root_spec)
-    cut_dist = parse_spec(cut_spec)
+    root_law = parse_spec(root_dist)
+    cut_dist = parse_spec(dist)
     start = time.perf_counter()
 
     rng = substream(seed, "decay")
-    roots = np.asarray(root_dist.sample(rng, size=population), dtype=float)
+    roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
     mu_ell = theory.expected_contraction(cut_dist)
 
     ks_values = [stats.ks_statistic(roots)]
@@ -513,11 +511,11 @@ def run_decay_experiment(
         ells, roots = population_step(roots, cut_dist, rng)
         ks_values.append(stats.ks_statistic(roots))
         mean_devs.append(abs(float(ells.mean()) - mu_ell))
-        standard_errors.append(float(ells.std()) / math.sqrt(population))
+        standard_errors.append(float(ells.std()) / math.sqrt(runs))
     ks_values = np.array(ks_values)
     mean_devs = np.array(mean_devs)
 
-    ks_floor = _FLOOR_FACTOR / math.sqrt(population)
+    ks_floor = _FLOOR_FACTOR / math.sqrt(runs)
     rho, rate = stats.fit_exponential_decay(truncate_at_noise_floor(ks_values, ks_floor))
     mean_floor = _FLOOR_FACTOR * float(np.mean(standard_errors))
     mean_window = truncate_at_noise_floor(mean_devs, mean_floor)
@@ -526,13 +524,13 @@ def run_decay_experiment(
     else:
         mean_rho, mean_rate = 0.0, 1.0
 
-    reference = theory.expected_contraction(root_dist)
+    reference = theory.expected_contraction(root_law)
     # No decay to fit if the slope is negligible or the series already
     # starts inside the sampling-noise band.
     no_signal = rho < 2.0 / iters or ks_values[0] < ks_floor
     report = ExperimentReport(
         "decay",
-        {"root": root_dist.spec, "cut": cut_dist.spec, "population": population,
+        {"root": root_law.spec, "cut": cut_dist.spec, "population": runs,
          "iters": iters, "seed": seed},
         [
             Cell("ks_fitted_rho", value=rho),
@@ -558,24 +556,24 @@ def run_decay_experiment(
 
 
 def run_correlation_experiment(
-    root_spec: str,
-    cut_spec: str,
-    population: int = 10_000,
+    root_dist: str,
+    dist: str,
+    runs: int = 10_000,
     iters: int = 14,
     seed: int = DEFAULT_SEED,
 ) -> ExperimentReport:
     """Correlation matrix of the first `iters` scaling factors."""
     if iters < 2:
         raise ValueError("need iters >= 2")
-    if population < 2:
-        raise ValueError("need population >= 2")
-    root_dist = parse_spec(root_spec)
-    cut_dist = parse_spec(cut_spec)
+    if runs < 2:
+        raise ValueError("need runs >= 2")
+    root_law = parse_spec(root_dist)
+    cut_dist = parse_spec(dist)
     start = time.perf_counter()
 
     rng = substream(seed, "correlation")
-    roots = np.asarray(root_dist.sample(rng, size=population), dtype=float)
-    ells = np.empty((iters, population))
+    roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
+    ells = np.empty((iters, runs))
     for n in range(iters):
         ells[n], roots = population_step(roots, cut_dist, rng)
 
@@ -583,12 +581,12 @@ def run_correlation_experiment(
     off_diagonal = corr[~np.eye(iters, dtype=bool)]
     report = ExperimentReport(
         "correlation",
-        {"root": root_dist.spec, "cut": cut_dist.spec, "population": population,
+        {"root": root_law.spec, "cut": cut_dist.spec, "population": runs,
          "iters": iters, "seed": seed},
         [
             Cell("corr_l1_l2", value=float(corr[0, 1])),
             Cell("max_abs_off_diagonal", value=float(np.max(np.abs(off_diagonal)))),
-            Cell("decorrelation_threshold", value=4.0 / math.sqrt(population)),
+            Cell("decorrelation_threshold", value=4.0 / math.sqrt(runs)),
         ],
     )
     report.add_series("matrix", [f"l{j + 1}" for j in range(iters)], corr.tolist())
@@ -599,19 +597,19 @@ def run_correlation_experiment(
 _CUBIC_NAME = "cubic"
 
 
-def _grid_from_spec(g0_spec: str, grid_size: int) -> GridCdf:
-    if g0_spec == _CUBIC_NAME:
-        return GridCdf.from_callable(lambda t: t * (4 * t * t - 6 * t + 3), grid_size)
-    if g0_spec == "identity":
-        return GridCdf.identity(grid_size)
-    return GridCdf.from_distribution(parse_spec(g0_spec), grid_size)
+def _grid_from_spec(g0: str, grid: int) -> GridCdf:
+    if g0 == _CUBIC_NAME:
+        return GridCdf.from_callable(lambda t: t * (4 * t * t - 6 * t + 3), grid)
+    if g0 == "identity":
+        return GridCdf.identity(grid)
+    return GridCdf.from_distribution(parse_spec(g0), grid)
 
 
 def run_operator_experiment(
-    g0_spec: str,
-    cut_spec: str = "uniform",
+    g0: str = _CUBIC_NAME,
+    dist: str = "uniform",
     k: int = 30,
-    grid_size: int = 2049,
+    grid: int = 2049,
     delta: float = 0.25,
     seed: int = DEFAULT_SEED,
 ) -> ExperimentReport:
@@ -624,26 +622,26 @@ def run_operator_experiment(
     if k < 1:
         raise ValueError("need k >= 1")
     start = time.perf_counter()
-    cut_dist = parse_spec(cut_spec)
-    g0 = _grid_from_spec(g0_spec, grid_size)
-    eps = band_epsilon(g0, delta)
+    cut_dist = parse_spec(dist)
+    start_cdf = _grid_from_spec(g0, grid)
+    eps = band_epsilon(start_cdf, delta)
 
-    iterates = iterate_operator(g0, cut_dist, k)
+    iterates = iterate_operator(start_cdf, cut_dist, k)
     rows = []
     within = True
-    for step, grid in enumerate(iterates, start=1):
-        distance = grid.sup_distance_to_identity()
-        bound = rate_bound(g0, cut_dist, delta, eps, step)
-        mean_h, var_h = hn_mean_var(grid, cut_dist)
+    for step, iterate in enumerate(iterates, start=1):
+        distance = iterate.sup_distance_to_identity()
+        bound = rate_bound(start_cdf, cut_dist, delta, eps, step)
+        mean_h, var_h = hn_mean_var(iterate, cut_dist)
         within = within and distance <= bound
         rows.append((step, distance, bound, mean_h, var_h))
 
     report = ExperimentReport(
         "operator",
-        {"g0": g0_spec, "cut": cut_dist.spec, "k": k, "grid": grid_size,
+        {"g0": g0, "cut": cut_dist.spec, "k": k, "grid": grid,
          "delta": delta, "seed": seed},
         [
-            Cell("initial_sup_distance", value=g0.sup_distance_to_identity()),
+            Cell("initial_sup_distance", value=start_cdf.sup_distance_to_identity()),
             Cell("band_epsilon", value=eps),
             Cell("final_sup_distance", value=rows[-1][1]),
             Cell("all_within_bound", value=float(within)),
@@ -658,26 +656,26 @@ def run_operator_experiment(
     return report
 
 
-def run_theory_report(dist_spec: str, k_max: int = 6) -> ExperimentReport:
+def run_theory_report(dist: str, k_max: int = 6) -> ExperimentReport:
     """Closed-form quantities for a cut law, plus the K-section rates."""
-    dist = parse_spec(dist_spec)
+    law = parse_spec(dist)
     start = time.perf_counter()
-    mu, var = dist.moments()
+    mu, var = law.moments()
     report = ExperimentReport(
         "theory",
-        {"dist": dist.spec, "k_max": k_max},
+        {"dist": law.spec, "k_max": k_max},
         [
             Cell("mean", value=mu),
             Cell("variance", value=var),
-            Cell("cut_concavity", value=theory.cut_concavity(dist)),
-            Cell("expected_contraction", value=theory.expected_contraction(dist)),
-            Cell("contraction_variance", value=theory.contraction_variance(dist)),
+            Cell("cut_concavity", value=theory.cut_concavity(law)),
+            Cell("expected_contraction", value=theory.expected_contraction(law)),
+            Cell("contraction_variance", value=theory.contraction_variance(law)),
         ],
     )
     grid = np.linspace(0.0, 1.0, 11)
     report.add_series(
         "conditional_expected_length", ["r0", "expected_scaling"],
-        [(float(r0), theory.conditional_expected_length(float(r0), dist)) for r0 in grid],
+        [(float(r0), theory.conditional_expected_length(float(r0), law)) for r0 in grid],
     )
     report.add_series(
         "ksection", ["k", "expected_scaling"],

@@ -88,16 +88,16 @@ class GridCdf:
         return np.interp(x, self.nodes, self.values)
 
     @staticmethod
-    def identity(grid_size: int = 2049) -> "GridCdf":
+    def identity(grid_size: int) -> "GridCdf":
         return GridCdf(np.linspace(0.0, 1.0, grid_size))
 
     @staticmethod
-    def from_callable(fn: Callable[[np.ndarray], np.ndarray], grid_size: int = 2049) -> "GridCdf":
+    def from_callable(fn: Callable[[np.ndarray], np.ndarray], grid_size: int) -> "GridCdf":
         nodes = np.linspace(0.0, 1.0, grid_size)
         return GridCdf(np.asarray(fn(nodes), dtype=float))
 
     @staticmethod
-    def from_distribution(dist: Distribution, grid_size: int = 2049) -> "GridCdf":
+    def from_distribution(dist: Distribution, grid_size: int) -> "GridCdf":
         nodes = np.linspace(0.0, 1.0, grid_size)
         return GridCdf(np.array([dist.cdf(x) for x in nodes]))
 

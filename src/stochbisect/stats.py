@@ -72,12 +72,13 @@ def bootstrap_mean_ci(
     samples: Sequence[float],
     level: float = 0.95,
     resamples: int = 2000,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> IntervalEstimate:
     """Percentile-bootstrap CI for the mean.
 
     Resamples with replacement `resamples` times and takes the symmetric
-    percentiles of the resampled means.
+    percentiles of the resampled means. Every draw comes from `rng`.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
@@ -86,8 +87,6 @@ def bootstrap_mean_ci(
         raise ValueError(f"level must be in (0, 1), got {level}")
     if resamples < 1:
         raise ValueError(f"resamples must be positive, got {resamples}")
-    if rng is None:
-        rng = np.random.default_rng()
 
     n = samples.size
     means = np.empty(resamples)

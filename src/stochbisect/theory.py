@@ -95,8 +95,7 @@ def ell_pdf(cut_dist: Distribution, t: float) -> float:
     t = float(t)
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must be in (0, 1), got {t}")
-    return t * (float(np.asarray(cut_dist.pdf(t)).item())
-                + float(np.asarray(cut_dist.pdf(1.0 - t)).item()))
+    return t * (cut_dist.pdf(t) + cut_dist.pdf(1.0 - t))
 
 
 def expected_interval_length(cut_dist: Distribution, n: int) -> float:

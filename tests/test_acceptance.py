@@ -159,7 +159,7 @@ def test_criterion_7_decay_rates():
     ok = True
     details = []
     for spec, target in REFERENCE_DECAY_RATES:
-        report = ex.run_decay_experiment(spec, "uniform", population=10_000,
+        report = ex.run_decay_experiment(spec, "uniform", runs=10_000,
                                          iters=50, seed=DEFAULT_SEED)
         rate = report.cell("ks_fitted_rate").value
         reference = report.cell("reference_rate").value
@@ -245,12 +245,12 @@ def test_criterion_11_closed_form_cross_validation():
 
 def test_criterion_12_independence_structure():
     uniform_root = ex.run_correlation_experiment("uniform", "beta:5,50",
-                                                 population=10_000, iters=14,
+                                                 runs=10_000, iters=14,
                                                  seed=DEFAULT_SEED)
     max_off = uniform_root.cell("max_abs_off_diagonal").value
     threshold = uniform_root.cell("decorrelation_threshold").value
     skewed = ex.run_correlation_experiment("beta:5,50", "beta:5,50",
-                                           population=10_000, iters=14,
+                                           runs=10_000, iters=14,
                                            seed=DEFAULT_SEED)
     corr12 = skewed.cell("corr_l1_l2").value
     ok = max_off < threshold and corr12 < 0.0 and abs(corr12) > 0.3
@@ -268,9 +268,9 @@ def test_criterion_13_determinism(tmp_path):
         ]
         ok = ok and pairs[0] == pairs[1]
     for runner, kwargs in [
-        (ex.run_decay_experiment, dict(root_spec="beta:2,2", population=500, iters=10)),
+        (ex.run_decay_experiment, dict(root_dist="beta:2,2", runs=500, iters=10)),
         (ex.run_stationarity_experiment, dict(runs=200, iters=5)),
-        (ex.run_operator_experiment, dict(g0_spec="cubic", k=2, grid_size=257)),
+        (ex.run_operator_experiment, dict(g0="cubic", k=2, grid=257)),
     ]:
         a = report_to_csv(runner(seed=DEFAULT_SEED, **kwargs))
         b = report_to_csv(runner(seed=DEFAULT_SEED, **kwargs))

@@ -412,6 +412,10 @@ class TestDensity:
         assert type(value) is float
         assert value == pytest.approx(2.25, abs=1e-14)  # 3 * Irwin-Hall(3) density at 1.5
 
+    def test_uniform_pdf_scalar_in_float_out(self):
+        assert type(Uniform().pdf(0.3)) is float
+        assert Uniform().pdf(np.array([0.3])).shape == (1,)
+
     def test_bates_pdf_keeps_shape(self):
         xs = np.linspace(0.0, 1.0, 12).reshape(3, 4)
         values = Bates(7).pdf(xs)

@@ -1,10 +1,14 @@
+import argparse
+import inspect
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stochbisect import experiments as ex
-from stochbisect.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from stochbisect.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from stochbisect.experiments import (
     parse_report_csv,
     report_to_csv,
@@ -45,12 +49,12 @@ class TestReportSerialization:
 
 class TestDeterminism:
     @pytest.mark.parametrize("runner,kwargs", [
-        (ex.run_contraction_experiment, {"cut_spec": "uniform", "runs": 30, "iters": 8}),
+        (ex.run_contraction_experiment, {"dist": "uniform", "runs": 30, "iters": 8}),
         (ex.run_ksection_experiment, {"k": 2, "runs": 30, "iters": 8}),
         (ex.run_stationarity_experiment, {"runs": 60, "iters": 6}),
-        (ex.run_decay_experiment, {"root_spec": "beta:2,2", "population": 200, "iters": 10}),
+        (ex.run_decay_experiment, {"root_dist": "beta:2,2", "runs": 200, "iters": 10}),
         (ex.run_correlation_experiment,
-         {"root_spec": "uniform", "cut_spec": "beta:2,2", "population": 100, "iters": 4}),
+         {"root_dist": "uniform", "dist": "beta:2,2", "runs": 100, "iters": 4}),
     ], ids=["contraction", "ksection", "stationarity", "decay", "correlation"])
     def test_byte_identical_reports(self, runner, kwargs):
         a = runner(seed=SEED, **kwargs)
@@ -130,19 +134,19 @@ class TestStationarity:
 
 class TestDecay:
     def test_uniform_start_flags_no_signal(self):
-        report = ex.run_decay_experiment("uniform", population=10_000, iters=50, seed=SEED)
+        report = ex.run_decay_experiment("uniform", runs=10_000, iters=50, seed=SEED)
         assert report.cell("no_signal").value == 1.0
         assert any("no signal" in note for note in report.notes)
 
     def test_series_cover_all_iterations(self):
-        report = ex.run_decay_experiment("beta:2,2", population=500, iters=10, seed=SEED)
+        report = ex.run_decay_experiment("beta:2,2", runs=500, iters=10, seed=SEED)
         _, ks_rows = report.series["ks_distance"]
         _, mean_rows = report.series["mean_deviation"]
         assert len(ks_rows) == 11 and ks_rows[0][0] == 0.0
         assert len(mean_rows) == 10 and mean_rows[0][0] == 1.0
 
     def test_decay_payload_round_trips_strict_json(self):
-        report = ex.run_decay_experiment("beta:2,2", population=500, iters=10, seed=SEED)
+        report = ex.run_decay_experiment("beta:2,2", runs=500, iters=10, seed=SEED)
         text = report_to_json(report)
         assert "NaN" not in text
         assert json.loads(text) == report.to_payload()
@@ -163,11 +167,11 @@ class TestCorrelationExperiment:
         from stochbisect.stats import DegenerateSampleError
         with pytest.raises(DegenerateSampleError):
             ex.run_correlation_experiment("point:0.5", "point:0.5",
-                                          population=2, iters=3, seed=SEED)
+                                          runs=2, iters=3, seed=SEED)
 
     def test_matrix_shape(self):
         report = ex.run_correlation_experiment("uniform", "uniform",
-                                               population=300, iters=5, seed=SEED)
+                                               runs=300, iters=5, seed=SEED)
         cols, rows = report.series["matrix"]
         assert len(cols) == 5 and len(rows) == 5
         assert rows[0][0] == 1.0
@@ -175,12 +179,12 @@ class TestCorrelationExperiment:
 
 class TestOperatorExperiment:
     def test_identity_start(self):
-        report = ex.run_operator_experiment("identity", "uniform", k=3, grid_size=257)
+        report = ex.run_operator_experiment("identity", "uniform", k=3, grid=257)
         _, rows = report.series["iterates"]
         assert all(row[1] < 1e-9 for row in rows)
 
     def test_cubic_ratio_series(self):
-        report = ex.run_operator_experiment("cubic", "uniform", k=3, grid_size=2049)
+        report = ex.run_operator_experiment("cubic", "uniform", k=3, grid=2049)
         d0 = report.cell("initial_sup_distance").value
         _, rows = report.series["iterates"]
         for k, row in enumerate(rows, start=1):
@@ -190,7 +194,56 @@ class TestOperatorExperiment:
     def test_endpoint_atom_propagates(self):
         from stochbisect.markov import EndpointAtomError
         with pytest.raises(EndpointAtomError):
-            ex.run_operator_experiment("cubic", "point:1", k=2, grid_size=257)
+            ex.run_operator_experiment("cubic", "point:1", k=2, grid=257)
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = Path(__file__).parent.parent / "README.md"
+    return [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+            if line.startswith("stochbisect ")]
+
+
+class TestParser:
+    """Each flag is the keyword argument of the runner its subcommand calls."""
+
+    @pytest.mark.parametrize("name", sorted(_subparsers()))
+    def test_flags_are_the_runner_parameters(self, name):
+        sub = _subparsers()[name]
+        dests = {a.dest for a in sub._actions} - {"help", "format", "out"}
+        assert dests == set(inspect.signature(sub.get_default("run")).parameters)
+
+    def test_omitted_flags_stay_out_of_the_namespace(self):
+        args = vars(build_parser().parse_args(["ksection", "--k", "3"]))
+        assert args == {"command": "ksection", "run": ex.run_ksection_experiment,
+                        "k": 3, "format": "csv", "out": None}
+
+    def test_omitted_flags_take_the_runner_defaults(self, capsys):
+        assert main(["operator", "--k", "2", "--grid", "65"]) == EXIT_OK
+        direct = ex.run_operator_experiment(k=2, grid=65)
+        assert capsys.readouterr().out == report_to_csv(direct)
+
+    def test_readme_commands_parse(self):
+        commands = _readme_commands()
+        assert sorted(argv[0] for argv in commands) == sorted(_subparsers())
+        for argv in commands:
+            args = vars(build_parser().parse_args(argv))
+            run = args.pop("run")
+            for key in ("command", "format", "out"):
+                del args[key]
+            inspect.signature(run).bind(**args)
+
+    @pytest.mark.parametrize("name", sorted(_subparsers()))
+    def test_help_renders(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: stochbisect {name}")
 
 
 class TestCli:

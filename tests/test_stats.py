@@ -62,6 +62,11 @@ class TestBootstrap:
             hits += ci.contains(2 / 3)
         assert hits >= 90
 
+    def test_rng_is_required(self):
+        # All randomness comes from the caller; there is no unseeded fallback.
+        with pytest.raises(TypeError):
+            bootstrap_mean_ci([0.1, 0.2])
+
     def test_empty_sample_rejected(self):
         with pytest.raises(DegenerateSampleError):
             bootstrap_mean_ci([], rng=substream(0, "e"))

@@ -107,6 +107,7 @@ class TestEllDistribution:
 
     def test_uniform_pdf(self):
         assert theory.ell_pdf(Uniform(), 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert type(theory.ell_pdf(Uniform(), 0.5)) is float
         for t in (0.1, 0.7):
             assert theory.ell_pdf(Uniform(), t) == pytest.approx(2 * t, abs=1e-12)
 

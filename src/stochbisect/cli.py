@@ -11,6 +11,7 @@ failures (invalid bracket, endpoint atoms, degenerate samples).
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from .distributions import DomainError, NoDensityError
@@ -52,6 +53,16 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 def _add_bootstrap(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--level", type=float, help="CI level")
     parser.add_argument("--resamples", type=int, help="bootstrap resample count")
+
+
+def _show_defaults(subcommands) -> None:
+    """End each flag's help with its default, read from its runner's signature."""
+    for parser in subcommands.choices.values():
+        params = inspect.signature(parser.get_default("run")).parameters
+        for action in parser._actions:
+            param = params.get(action.dest)
+            if param is not None and param.default is not param.empty:
+                action.help = f"{action.help or ''} (default: {param.default})".lstrip()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int)
     _add_output(p)
 
+    _show_defaults(sub)
     return parser
 
 

@@ -12,10 +12,13 @@ or by quadrature, depending on the cut law:
 
 * uniform cuts reduce to averaged integrals of G, computed in closed form
   from the exact cumulative integral of the piecewise-linear grid CDF;
-* every other law integrates against its own `quadrature()` measure:
-  the exact atoms of point masses and empirical laws, or a fixed
-  composite Gauss-Legendre measure for densities, whose fixed node set
-  keeps positivity (hence monotonicity of the output) exact.
+* every other law integrates against its own `quadrature()` measure (the
+  exact atoms of point masses and empirical laws, or a fixed composite
+  Gauss-Legendre measure for densities, whose fixed nodes keep T positive)
+  with one kernel, the scale mixture S[G](t) = sum_m w_m G(t c_m). The
+  reflected CDF R(y) = 1 - G(1 - y) turns the upper branch into
+  G(t + (1-t) c) = 1 - R((1-t)(1-c)), and sum_m w_m G(c_m) = S[G](1), so
+  T G(t) = S[G](t) - S[G](1) + sum_m w_m - S[R](1 - t).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "BandHypothesisError",
     "GridCdf",
     "apply_operator",
-    "apply_operator_to_function",
     "iterate_operator",
     "ell_cdf_general",
     "band_epsilon",
@@ -135,20 +137,25 @@ def _repair_monotone(raw: np.ndarray) -> np.ndarray:
     return repaired
 
 
-_CHUNK_ELEMENTS = 1 << 21  # caps the t x cut-point matrices at ~16 MB
+def _scale_mixture(g: np.ndarray, pts: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """sum_m w_m G(t_i c_m) at every node t_i of the uniform grid carrying g.
 
-
-def _bracket_sum(evaluate, pts: np.ndarray, wts: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Sum of w * (g(t c) + g(t + (1-t) c) - g(c)) over the cut measure."""
-    out = np.zeros(t.size)
-    step = max(1, _CHUNK_ELEMENTS // max(t.size, 1))
+    In grid units t_i c_m sits at i c_m <= i, so its cell is the integer
+    part: no search and no clip. The last node gets slope 0; only c_m = 1
+    at t = 1 lands on it. Cut nodes go in blocks, so memory stays O(N + M).
+    """
+    n = g.size
+    slope = np.append(np.diff(g), 0.0)
+    nodes = np.arange(n, dtype=float)
+    out = np.zeros(n)
+    step = max(1, (1 << 16) // n)  # 512 KB blocks of values stay in cache
     for start in range(0, pts.size, step):
-        c = pts[start:start + step]
-        w = wts[start:start + step]
-        vals = (evaluate(t[:, None] * c[None, :])
-                + evaluate(t[:, None] + (1.0 - t[:, None]) * c[None, :])
-                - np.asarray(evaluate(c))[None, :])
-        out += vals @ w
+        x = np.multiply.outer(nodes, pts[start:start + step])
+        cell = x.astype(np.intp)
+        x -= cell
+        x *= slope[cell]
+        x += g[cell]
+        out += x @ wts[start:start + step]
     return out
 
 
@@ -160,39 +167,19 @@ def apply_operator(grid_cdf: GridCdf, cut_dist: Distribution) -> GridCdf:
     and the clamp magnitude is required to stay below 1e-9.
     """
     g = grid_cdf.values
-    t = grid_cdf.nodes
-
     if isinstance(cut_dist, Uniform):
         # int_0^1 G(tc) dc = (1/t) int_0^t G, and similarly for the upper
         # branch, so T reduces to exact averages of the cumulative integral.
         integrals = grid_cdf.node_integrals()
-        total = integrals[-1]
-        out = np.empty_like(g)
-        out[0] = g[0]
-        out[-1] = g[-1]
-        interior = slice(1, -1)
-        ti = t[interior]
-        out[interior] = (integrals[interior] / ti
-                         + (total - integrals[interior]) / (1.0 - ti)
-                         - total)
+        inner, total, t = integrals[1:-1], integrals[-1], grid_cdf.nodes[1:-1]
+        out = np.pad(inner / t + (total - inner) / (1.0 - t) - total, 1)
     else:
         pts, wts = cut_dist.quadrature()
-        out = _bracket_sum(grid_cdf, pts, wts, t)
-
+        low = _scale_mixture(g, pts, wts)
+        high = _scale_mixture(1.0 - g[::-1], 1.0 - pts, wts)
+        out = low - low[-1] + wts.sum() - high[::-1]
+    out[0], out[-1] = g[0], g[-1]
     return GridCdf(_repair_monotone(out))
-
-
-def apply_operator_to_function(
-    fn: Callable[[np.ndarray], np.ndarray], cut_dist: Distribution, t
-) -> np.ndarray:
-    """T applied to an exactly evaluable function (no grid interpolation).
-
-    Used for proof checks such as the quadratic test function, where grid
-    interpolation error would mask the identity being verified.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    pts, wts = cut_dist.quadrature()
-    return _bracket_sum(fn, pts, wts, t)
 
 
 def iterate_operator(

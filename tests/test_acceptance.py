@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from operator_oracle import apply_operator_to_function
 from stochbisect import experiments as ex
 from stochbisect import theory
 from stochbisect.distributions import parse_spec
@@ -19,7 +20,6 @@ from stochbisect.experiments import DEFAULT_SEED, report_to_csv, report_to_json
 from stochbisect.markov import (
     GridCdf,
     apply_operator,
-    apply_operator_to_function,
     band_epsilon,
     ell_cdf_general,
     iterate_operator,

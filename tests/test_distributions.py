@@ -17,6 +17,7 @@ from stochbisect.distributions import (
     SpecError,
     Uniform,
     _gauss_measure,
+    _irwin_hall,
     _merge_ties,
     parse_spec,
 )
@@ -388,6 +389,33 @@ class TestDensity:
                 total += (-1) ** k * math.comb(n, k) * (y - k) ** (n - 1)
             oracle = float(n * total / mpmath.factorial(n - 1))
             assert value == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 5, 20, 25])
+    def test_irwin_hall_matches_the_all_terms_sum_bit_for_bit(self, n):
+        # The sum as first written raised every term, dead ones (y < k)
+        # included, and discarded those; skipping that work must not move
+        # a single bit, in any order of y or for a 0-d y.
+        def all_terms(y, power):
+            y = np.asarray(y, dtype=float)
+            total = np.zeros_like(y)
+            comp = np.zeros_like(y)
+            for k in range(int(y.max(initial=0.0)) + 1):
+                live = y >= k
+                t = (-1) ** k * math.comb(n, k) * np.power(y - k, power) - comp
+                s = total + t
+                comp = np.where(live, (s - total) - t, comp)
+                total = np.where(live, s, total)
+            return total / float(math.factorial(power))
+
+        rng = np.random.default_rng(n)
+        ys = np.concatenate([np.linspace(0.0, n, 8 * n + 1), rng.uniform(0.0, n, 200)])
+        ys.sort()
+        for power in (n, n - 1):
+            for y in (ys, ys[::-1], rng.permutation(ys)):
+                assert np.array_equal(_irwin_hall(n, y, power), all_terms(y, power))
+            for y in (0.0, 0.5 * n, float(ys[101]), float(n)):
+                got = _irwin_hall(n, np.float64(y), power)
+                assert got.ndim == 0 and got == all_terms(np.float64(y), power)
 
     def test_bates_density_and_cdf_refuse_n_above_25(self):
         # The alternating sum loses accuracy past n = 25; sampling and the

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -244,6 +245,15 @@ class TestParser:
             main([name, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: stochbisect {name}")
+
+    @pytest.mark.parametrize("name, flag, default", [
+        ("operator", "grid", "2049"), ("operator", "k", "30"), ("contraction", "tol", "1e-15")])
+    def test_help_shows_the_runner_default(self, name, flag, default, capsys):
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        text = " ".join(capsys.readouterr().out.split())  # rejoin wrapped lines
+        pattern = rf"--{flag} {flag.upper()} [^-]*\(default: {re.escape(default)}\)"
+        assert re.search(pattern, text)
 
 
 class TestCli:

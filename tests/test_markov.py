@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from operator_oracle import apply_operator_to_function
 from stochbisect import theory
 from stochbisect.distributions import Bates, Beta, Empirical, PointMass, Uniform
 from stochbisect.markov import (
@@ -8,7 +9,6 @@ from stochbisect.markov import (
     EndpointAtomError,
     GridCdf,
     apply_operator,
-    apply_operator_to_function,
     band_epsilon,
     ell_cdf_general,
     hn_mean_var,
@@ -26,6 +26,25 @@ def cubic_grid(n=N):
 
 def closed_form_cubic_iterate(k, t):
     return t * ((2 * t * t - 3 * t + 1) / 2 ** (k - 1) + 1)
+
+
+class BareMeasure:
+    """A cut law reduced to its quadrature measure.
+
+    `apply_operator` then takes the kernel path for every law, the uniform
+    one included, whose own type selects the closed form.
+    """
+
+    def __init__(self, dist):
+        self.measure = dist.quadrature()
+
+    def quadrature(self, breakpoints=()):
+        return self.measure
+
+
+KERNEL_CUTS = [Uniform(), Beta(2, 2), Beta(0.5, 2), Beta(0.5, 0.5), Bates(20),
+               PointMass(0.5), PointMass(0.3),
+               Empirical([0.1, 0.25, 0.25, 0.5, 0.5, 0.5, 0.9])]
 
 
 class TestGridCdf:
@@ -93,8 +112,26 @@ class TestApplyOperator:
         out = apply_operator(grid, PointMass(c))
         assert np.max(np.abs(out.values - np.maximum.accumulate(direct))) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 65, 2049])
+    @pytest.mark.parametrize("cut", KERNEL_CUTS, ids=lambda d: d.spec)
+    def test_kernel_matches_three_term_oracle(self, cut, n):
+        # point:0.5 puts cuts exactly on grid nodes; the empirical law has
+        # tied atoms; the second start has G(0) > 0.
+        rng = np.random.default_rng(n)
+        measure = BareMeasure(cut)
+        for g0 in (0.0, 0.2):
+            values = np.sort(rng.uniform(g0, 1.0, size=n))
+            values[0], values[-1] = g0, 1.0
+            grid = GridCdf(values)
+            out = apply_operator(grid, measure).values
+            oracle = apply_operator_to_function(grid, measure, grid.nodes)
+            assert np.max(np.abs(out[1:-1] - oracle[1:-1]), initial=0.0) <= 1e-13
+            assert out[0] == values[0]
+            assert out[-1] == 1.0
+
     def test_large_empirical_atom_set_stays_bounded(self):
-        # 100k atoms would need a 1.6 GB matrix without chunking.
+        # 2049 nodes x 100k atoms is 1.6 GB as one array: the kernel must
+        # walk the atoms in blocks.
         rng = np.random.default_rng(3)
         cut = Empirical(rng.uniform(0.05, 0.95, size=100_000))
         grid = GridCdf.from_distribution(Beta(2, 2), N)

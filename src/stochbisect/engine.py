@@ -218,9 +218,7 @@ def multisection_step(
     cuts = np.sort(rng.uniform(size=k))
     j = int(np.searchsorted(cuts, r, side="right"))
     lo = 0.0 if j == 0 else float(cuts[j - 1])
-    hi = 1.0 if j == k else float(cuts[j])
-    if r == 1.0:  # all cuts <= 1: keep the last gap
-        lo, hi = float(cuts[-1]), 1.0
+    hi = 1.0 if j == k else float(cuts[j])  # cuts < 1, so r == 1 keeps the last gap
     ell = hi - lo
     return ell, (r - lo) / ell
 
@@ -258,8 +256,7 @@ def multisection_population_step(
     padded[:, 0] = 0.0
     padded[:, 1:-1] = cuts
     padded[:, -1] = 1.0
-    j = np.sum(cuts <= roots[:, None], axis=1)
-    j = np.minimum(j, k)  # r == 1 falls in the last gap
+    j = np.sum(cuts <= roots[:, None], axis=1)  # cuts < 1, so r == 1 gives j == k
     lo = np.take_along_axis(padded, j[:, None], axis=1)[:, 0]
     hi = np.take_along_axis(padded, (j + 1)[:, None], axis=1)[:, 0]
     ells = hi - lo

@@ -223,6 +223,20 @@ class TestMultisection:
             assert pop_ells[i] == pytest.approx(hi - lo, abs=1e-15)
             assert pop_roots[i] == pytest.approx((r - lo) / (hi - lo), abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_endpoint_root_keeps_the_end_gap(self, r, k):
+        # Uniform cuts lie in [0, 1), so r == 0 keeps the first gap and
+        # r == 1 the last; both steppers agree bit for bit on the same cuts.
+        for seed in range(20):
+            cuts = np.sort(substream(seed, "end", k).uniform(size=k))
+            lo, hi = (0.0, cuts[0]) if r == 0.0 else (cuts[-1], 1.0)
+            ell, r_next = multisection_step(r, k, substream(seed, "end", k))
+            ells, roots = multisection_population_step(
+                np.array([r]), k, substream(seed, "end", k))
+            assert ell == ells[0] == hi - lo
+            assert r_next == roots[0] == (r - lo) / (hi - lo)
+
     def test_rejects_no_cuts(self):
         with pytest.raises(ValueError):
             multisection_step(0.5, 0, substream(3, "k0"))

@@ -210,6 +210,19 @@ def _readme_commands() -> list[list[str]]:
             if line.startswith("stochbisect ")]
 
 
+def _runner_flags() -> list[tuple[str, str, inspect.Parameter]]:
+    """(subcommand, flag, runner parameter) for every runner parameter."""
+    return [(name, "--" + param.name.replace("_", "-"), param)
+            for name, sub in sorted(_subparsers().items())
+            for param in inspect.signature(sub.get_default("run"),
+                                           eval_str=True).parameters.values()]
+
+
+_INT_FLAGS = [(name, flag) for name, flag, param in _runner_flags() if param.annotation is int]
+_REQUIRED_FLAGS = [(name, flag) for name, flag, param in _runner_flags()
+                   if param.default is param.empty]
+
+
 class TestParser:
     """Each flag is the keyword argument of the runner its subcommand calls."""
 
@@ -254,6 +267,51 @@ class TestParser:
         text = " ".join(capsys.readouterr().out.split())  # rejoin wrapped lines
         pattern = rf"--{flag} {flag.upper()} [^-]*\(default: {re.escape(default)}\)"
         assert re.search(pattern, text)
+
+    @pytest.mark.parametrize("name", sorted(_subparsers()))
+    def test_every_optional_flag_ends_in_its_default(self, name, capsys):
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+        required = {flag for command, flag in _REQUIRED_FLAGS if command == name}
+        # The first entry is -h, --help; each later one starts with its flag.
+        entries = [" ".join(e.split()) for e in re.split(r"\n  (?=--)", options)[1:]]
+        assert {entry.split()[0] for entry in entries} >= required | {"--format", "--out"}
+        for entry in entries:
+            if entry.split()[0] in required:
+                assert "(default:" not in entry, entry
+            else:
+                assert re.search(r"\(default: [^()]+\)$", entry), entry
+
+    @pytest.mark.parametrize("name, flag", _INT_FLAGS)
+    def test_int_flag_rejects_a_fraction(self, name, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, flag, "1.5"])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_required_flags_are_the_parameters_without_defaults(self):
+        assert sorted(_REQUIRED_FLAGS) == [
+            ("correlation", "--dist"), ("correlation", "--root-dist"),
+            ("decay", "--root-dist"), ("fixed-root", "--r"), ("theory", "--dist")]
+
+    @pytest.mark.parametrize("name, flag", _REQUIRED_FLAGS)
+    def test_leaving_out_a_required_flag_exits_2(self, name, flag, capsys):
+        others = [arg for command, other in _REQUIRED_FLAGS
+                  if command == name and other != flag for arg in (other, "uniform")]
+        with pytest.raises(SystemExit) as exc:
+            main([name, *others])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"the following arguments are required: {flag}" in err
+
+    def test_runner_is_looked_up_when_the_parser_is_built(self, monkeypatch):
+        # A rebound module attribute (a wrapper, say) is what the CLI calls.
+        def wrapped(dist: str, k_max: int = 6):
+            return ex.run_theory_report(dist, k_max)
+
+        monkeypatch.setattr(ex, "run_theory_report", wrapped)
+        assert _subparsers()["theory"].get_default("run") is wrapped
 
 
 class TestCli:

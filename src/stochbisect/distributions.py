@@ -2,10 +2,11 @@
 
 Five families: Uniform, Beta(a, b), Bates(n) (mean of n uniforms),
 PointMass(c), and Empirical (resampling from stored values). Each law
-exposes exact sampling, CDF evaluation, closed-form moments, and a
-Lebesgue-Stieltjes expectation functional E[g(X)] = integral of g dF,
-which is the primitive everything in the theory and operator layers is
-built on.
+exposes exact sampling, CDF evaluation, closed-form moments, a
+quadrature measure `quadrature()` (nodes and weights), and the
+Lebesgue-Stieltjes expectation E[g(X)] = integral of g dF built on it.
+The theory layer integrates through the expectation; the operator layer
+in `markov` uses the quadrature measure directly.
 
 All parameters are validated at construction; instances are immutable and
 safe to share across workers. Randomness always comes from a caller-owned

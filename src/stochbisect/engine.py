@@ -108,21 +108,19 @@ class IterationRecord:
     cut: float
     ell: float
     L: float
-    r_normalized: float
 
 
 @dataclass
 class RunTrace:
-    """Full record of one run.
+    """Full record of one run: one record per iteration and the stop reason.
 
-    `log_L` carries the running sum of log scaling factors alongside the
-    plain product, so cumulative lengths stay meaningful past the ~1e-300
-    underflow limit of the product form.
+    `terminated_by` is "tolerance", "max_iterations" or "exact_root". Each
+    record's `L` is its bracket width over the starting width, the running
+    product of the scaling factors `ell`.
     """
 
     records: list[IterationRecord] = field(default_factory=list)
     terminated_by: str = TERMINATED_MAX_ITERATIONS
-    log_L: list[float] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -146,21 +144,21 @@ def bisection_run(
     tol: float,
     max_iter: int,
     rng: np.random.Generator,
-    root: float | None = None,
 ) -> RunTrace:
     """Bisection with a random cut, bracketing a sign change of f.
 
     Each iteration draws c in (0, 1) and cuts at a + (b - a) c, keeping
     whichever side still brackets the root, until b - a < tol or the
-    iteration cap is hit. When the true root is supplied its normalized
-    position (r - a) / (b - a) is recorded; otherwise that column is NaN.
+    iteration cap is hit. A `tol` of 0 or below runs to the cap; a NaN
+    `tol` raises `ValueError`.
 
     A cut with f(cut) == 0 stops the run with `terminated_by ==
-    "exact_root"`; its record has a == b == cut, ell == L == 0, a NaN
-    normalized root, and log_L -inf. A NaN or infinite value of f raises
-    `NonFiniteValueError`; a zero at either starting endpoint raises
-    `BracketError`.
+    "exact_root"`; its record has a == b == cut and ell == L == 0. A NaN
+    or infinite value of f raises `NonFiniteValueError`; a zero at either
+    starting endpoint raises `BracketError`.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     a, b = float(a), float(b)
     if not a < b:
         raise BracketError(f"need a < b, got [{a}, {b}]")
@@ -171,7 +169,6 @@ def bisection_run(
     width0 = b - a
     trace = RunTrace()
     length = 1.0
-    log_length = 0.0
     n = 0
     while b - a >= tol and n < max_iter:
         c = draw_cut(cut_dist, rng)
@@ -183,8 +180,7 @@ def bisection_run(
             # Zero, NaN or infinite product: an exact root, a non-finite
             # value, or a scale the product under- or overflows.
             if _finite(cut, fc) == 0.0:
-                trace.records.append(IterationRecord(n, cut, cut, cut, 0.0, 0.0, math.nan))
-                trace.log_L.append(-math.inf)
+                trace.records.append(IterationRecord(n, cut, cut, cut, 0.0, 0.0))
                 trace.terminated_by = TERMINATED_EXACT_ROOT
                 return trace
             sign = fc if fa > 0.0 else -fc
@@ -194,10 +190,7 @@ def bisection_run(
             a, fa = cut, fc
         ell = (b - a) / (width0 * length)
         length = (b - a) / width0
-        log_length += math.log(ell)
-        r_norm = (root - a) / (b - a) if root is not None else math.nan
-        trace.records.append(IterationRecord(n, a, b, cut, ell, length, r_norm))
-        trace.log_L.append(log_length)
+        trace.records.append(IterationRecord(n, a, b, cut, ell, length))
     trace.terminated_by = TERMINATED_TOLERANCE if b - a < tol else TERMINATED_MAX_ITERATIONS
     return trace
 

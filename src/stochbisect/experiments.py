@@ -52,6 +52,8 @@ DEFAULT_SEED = 20250811
 # Iterations deterministic bisection needs on a unit interval: smallest n
 # with 2^-n < tol. Runs at or under this count are the "lucky" ones.
 def deterministic_iterations(tol: float) -> int:
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     n = 0
     width = 1.0
     while width >= tol:
@@ -384,8 +386,8 @@ def run_fixed_root_experiment(
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"fixed root must lie in (0, 1), got {r}")
-    if runs < 2:
-        raise ValueError("need runs >= 2")
+    if runs < 2 or max_iter < 1:
+        raise ValueError("need runs >= 2 and max_iter >= 1")
     cut_dist = parse_spec(dist)
     start = time.perf_counter()
 

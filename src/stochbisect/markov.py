@@ -79,10 +79,6 @@ class GridCdf:
         object.__setattr__(self, "values", values)
 
     @property
-    def grid_size(self) -> int:
-        return self.values.size
-
-    @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.values.size)
 

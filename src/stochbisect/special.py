@@ -1,9 +1,8 @@
-"""Scalar special functions needed by the distribution and stats layers.
+"""Scalar special functions needed by the distribution layer.
 
-Only two primitives live here: the regularized incomplete beta function
-(continued fraction with the symmetry switch) and the standard normal
-quantile (rational approximation polished by one Newton step). Both are
-self-contained so the runtime depends on numpy alone.
+One primitive lives here: the regularized incomplete beta function
+(continued fraction with the symmetry switch), with the log-beta helper
+it needs. It is self-contained so the runtime depends on numpy alone.
 """
 
 from __future__ import annotations
@@ -78,49 +77,3 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-# Acklam's rational approximation to the inverse standard normal CDF
-# (relative error below 1.2e-9 on its own; one Newton step brings it to
-# machine precision).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-_P_LOW = 0.02425
-
-
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-               ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-               ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-           (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse of the standard normal CDF for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    if p > 0.5:
-        # Work on the lower tail, where erfc keeps full relative precision.
-        return -normal_quantile(1.0 - p)
-    z = _acklam(p)
-    # One Newton step against the erfc-based CDF.
-    cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))
-    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        z -= (cdf - p) / pdf
-    return z

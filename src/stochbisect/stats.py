@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-
-from .special import normal_quantile
 
 __all__ = [
     "DegenerateSampleError",
@@ -112,7 +111,7 @@ def wilson_ci(successes: int, trials: int, level: float = 0.95) -> IntervalEstim
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    z = normal_quantile(0.5 * (1.0 + level))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     p_hat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials

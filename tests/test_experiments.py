@@ -346,6 +346,15 @@ class TestCli:
 
     def test_bad_config_exits_2(self, capsys):
         assert main(["contraction", "--runs", "1"]) == EXIT_CONFIG
+        # fixed-root needs a positive tol for its deterministic baseline and
+        # at least one iteration; a NaN tol would stop every run at once.
+        for argv in ("contraction --tol nan",
+                     "fixed-root --r 0.1 --tol 0",
+                     "fixed-root --r 0.1 --tol=-1e-8",
+                     "fixed-root --r 0.1 --tol nan",
+                     "fixed-root --r 0.1 --max-iter 0"):
+            assert main(argv.split()) == EXIT_CONFIG, argv
+            assert "error" in capsys.readouterr().err
 
     def test_fixed_root_rejects_iters(self, capsys):
         # fixed-root runs stop at --tol or --max-iter; there is no --iters.

@@ -1,5 +1,8 @@
 import importlib
+import math
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +20,18 @@ def test_module_exports_exist(name):
 
 def test_package_exports_exist():
     assert [attr for attr in stochbisect.__all__ if not hasattr(stochbisect, attr)] == []
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's python example documents the RunTrace API; run it as written.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    (example,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    namespace = {}
+    exec(example, namespace)
+    first, second = capsys.readouterr().out.splitlines()
+    iterations, terminated_by, width = first.split()
+    trace = namespace["trace"]
+    assert (int(iterations), terminated_by) == (len(trace), "tolerance")
+    assert float(width) < 1e-10
+    assert trace.records[-1].a <= math.pi / 2 <= trace.records[-1].b
+    assert second == "expected per-step contraction: 0.6"

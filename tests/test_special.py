@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 from scipy import special as sp
-from scipy import stats as sps
 
-from stochbisect.special import normal_quantile, regularized_incomplete_beta
+from stochbisect.special import regularized_incomplete_beta
 
 
 class TestRegularizedIncompleteBeta:
@@ -36,24 +35,3 @@ class TestRegularizedIncompleteBeta:
         with pytest.raises(ValueError):
             regularized_incomplete_beta(2.0, 2.0, 1.5)
 
-
-class TestNormalQuantile:
-    def test_matches_scipy_to_1e9(self):
-        ps = np.concatenate([
-            np.linspace(1e-6, 1 - 1e-6, 201), [1e-10, 0.025, 0.975, 1 - 1e-10]
-        ])
-        ours = np.array([normal_quantile(p) for p in ps])
-        assert np.max(np.abs(ours - sps.norm.ppf(ps))) < 1e-9
-
-    def test_standard_values(self):
-        assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-        assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
-
-    def test_antisymmetry(self):
-        for p in (0.01, 0.2, 0.45):
-            assert normal_quantile(p) == pytest.approx(-normal_quantile(1 - p), abs=1e-11)
-
-    def test_domain_error(self):
-        for p in (0.0, 1.0, -0.1):
-            with pytest.raises(ValueError):
-                normal_quantile(p)

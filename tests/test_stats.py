@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from stochbisect import stats
 from stochbisect.seeding import substream
@@ -95,6 +96,17 @@ class TestWilson:
         ci = wilson_ci(1000, 1000, 0.95)
         assert ci.upper == 1.0
         assert ci.lower > 0.99
+
+    def test_matches_scipy_wilson(self):
+        # Oracle: scipy's binomtest Wilson interval, an independent implementation.
+        for n in (1, 5, 20, 137, 1000):
+            for k in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+                for level in (0.8, 0.9, 0.95, 0.99, 0.999):
+                    ours = wilson_ci(k, n, level)
+                    ref = sps.binomtest(k, n).proportion_ci(confidence_level=level,
+                                                             method="wilson")
+                    assert ours.lower == pytest.approx(ref.low, abs=1e-15, rel=0)
+                    assert ours.upper == pytest.approx(ref.high, abs=1e-15, rel=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,10 @@ exposes exact sampling, CDF evaluation, closed-form moments, a
 quadrature measure `quadrature()` (nodes and weights), and the
 Lebesgue-Stieltjes expectation E[g(X)] = integral of g dF built on it.
 The theory layer integrates through the expectation; the operator layer
-in `markov` uses the quadrature measure directly.
+in `markov` uses the quadrature measure directly. Every density measure
+comes from one Gauss-Legendre builder on [0, hi], `_gauss_measure`:
+Uniform and Bates use [0, 1], and Beta joins [0, 1/2] of itself to
+[0, 1/2] of Beta(b, a) mirrored by x -> 1 - x.
 
 All parameters are validated at construction; instances are immutable and
 safe to share across workers. Randomness always comes from a caller-owned
@@ -51,33 +54,25 @@ class SpecError(ValueError):
 
 _GL_POINTS, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MIN_PANELS = 64
-_GRADE_LEVELS = 48
-_GRADING = 2.0 ** -np.arange(_GRADE_LEVELS, 0, -1)  # 2^-48, ..., 2^-1
+_GRADING = 2.0 ** -np.arange(48, 0, -1)  # 2^-48, ..., 2^-1
 
 
-def _gauss_measure(bounds, grade_first: bool = False,
-                   grade_last: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 16-point Gauss-Legendre nodes/weights on sorted segment bounds.
+def _gauss_measure(hi: float, breakpoints=(), graded: bool = False):
+    """Composite 16-point Gauss-Legendre nodes/weights on [0, hi].
 
-    Segment [lo, hi] between consecutive bounds gets ceil(64 (hi - lo))
-    equal panels with edges i * step + lo (the last edge exactly hi), all
-    segments built at once. Grading subdivides the first or last panel
-    geometrically (48 halvings), which restores full accuracy for
-    integrands whose higher derivatives blow up algebraically at that
-    endpoint.
+    The panel edges are those of ceil(64 hi) equal panels, i * step (the
+    last exactly hi), plus every breakpoint inside (0, hi), plus, if
+    `graded`, the 48 geometric edges step * 2^-48, ..., step / 2 inside the
+    first equal panel. Grading restores full accuracy for integrands whose
+    higher derivatives blow up algebraically at 0; being tied to the first
+    equal panel, it holds whatever the breakpoints.
     """
-    bounds = np.asarray(bounds, dtype=float)
-    width = np.diff(bounds)
-    panels = np.maximum(1, np.ceil(width * _MIN_PANELS)).astype(np.intp)
-    seg = np.repeat(np.arange(width.size), panels)
-    i = np.arange(seg.size) - (np.cumsum(panels) - panels)[seg]
-    edges = np.append(i * (width / panels)[seg] + bounds[seg], bounds[-1])
-    if grade_first:
-        lo = edges[0]
-        edges = np.concatenate(([lo], lo + (edges[1] - lo) * _GRADING, edges[1:]))
-    if grade_last:
-        hi = edges[-1]
-        edges = np.concatenate((edges[:-1], hi - (hi - edges[-2]) * _GRADING[::-1], [hi]))
+    panels = math.ceil(hi * _MIN_PANELS)
+    step = hi / panels
+    cuts = np.asarray(breakpoints, dtype=float).ravel()
+    edges = np.unique(np.concatenate((np.arange(panels) * step, [hi],
+                                      cuts[(cuts > 0.0) & (cuts < hi)],
+                                      step * _GRADING if graded else [])))
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = (mid[:, None] + half[:, None] * _GL_POINTS[None, :]).ravel()
@@ -91,15 +86,26 @@ def _merge_ties(pts, wts) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.bincount(inverse, weights=wts)
 
 
-def _clean_edges(breakpoints) -> np.ndarray:
-    b = np.asarray(breakpoints, dtype=float).ravel()
-    return np.concatenate(([0.0], np.unique(b[(b > 0.0) & (b < 1.0)]), [1.0]))
+def _beta_half(a: float, b: float, log_beta: float, breakpoints: np.ndarray):
+    """Nodes and weights of the Beta(a, b) density on [0, 1/2].
 
-
-def _density_measure(pdf, breakpoints) -> tuple[np.ndarray, np.ndarray]:
-    """Panels between consecutive edges, each weighted by the density."""
-    pts, wts = _gauss_measure(_clean_edges(breakpoints))
-    return _merge_ties(pts, wts * pdf(pts))
+    Only the factor x^(a-1) can be singular there. A shape a < 1 makes it
+    blow up at 0 with huge derivatives well into the interior, so the half
+    is integrated in u = x^a, where x^(a-1) dx = du / a is smooth; a
+    fractional a > 1 keeps it bounded, but its higher derivatives still
+    blow up at 0. Both are graded.
+    """
+    if a < 1.0:
+        # The bounds use Python's float pow, correctly rounded with glibc;
+        # numpy's SIMD pow can be one ulp off and shift every panel edge.
+        inside = breakpoints[(breakpoints > 0.0) & (breakpoints < 0.5)]
+        u, wu = _gauss_measure(0.5 ** a, [e ** a for e in inside.tolist()], graded=True)
+        x = u ** (1.0 / a)
+        return x, wu * np.exp((b - 1.0) * np.log1p(-x) - log_beta) / a
+    x, wx = _gauss_measure(0.5, breakpoints, graded=a > 1.0 and a != round(a))
+    with np.errstate(divide="ignore"):  # a node at 0 is possible, under a subnormal edge
+        left = (a - 1.0) * np.log(x) if a != 1.0 else 0.0  # 0 * log(0) would be NaN
+    return x, wx * np.exp(left + (b - 1.0) * np.log1p(-x) - log_beta)
 
 
 class Distribution(ABC):
@@ -130,10 +136,12 @@ class Distribution(ABC):
         """Discrete measure (points, weights) representing dF.
 
         Exact for atom-bearing laws. For densities it is a composite
-        Gauss-Legendre rule whose panel edges include the given
-        breakpoints, so integrands with kinks or jumps at those points
-        are integrated accurately. The points strictly increase, and the
-        weights are nonnegative and sum to 1 up to rounding.
+        16-point Gauss-Legendre rule: 64 equal panels per unit length, with
+        every given breakpoint in (0, 1) added as a panel edge, so
+        integrands with kinks or jumps at those points are integrated
+        accurately, and geometrically graded panels next to an endpoint
+        where the density is singular. The points strictly increase, and
+        the weights are nonnegative and sum to 1 up to rounding.
         """
 
     def stieltjes_expectation(
@@ -177,16 +185,17 @@ class Uniform(Distribution):
         return out if out.ndim else float(out)
 
     def quadrature(self, breakpoints=()):
-        return _density_measure(self.pdf, breakpoints)
+        return _merge_ties(*_gauss_measure(1.0, breakpoints))  # density 1
 
 
 class Beta(Distribution):
     """Beta(a, b) law; density x^(a-1) (1-x)^(b-1) / B(a, b).
 
     Sampling draws two gamma variates (shape-rate construction), so it is
-    exact for all shapes, including a < 1 or b < 1. Quadrature removes the
-    endpoint singularity of sub-1 shapes with the substitution x = u^(1/a)
-    (resp. 1 - x = v^(1/b)), after which the integrand is smooth.
+    exact for all shapes, including a < 1 or b < 1. Quadrature builds each
+    half of [0, 1] from its own endpoint (`_beta_half`), removing the
+    singularity of a sub-1 shape with the substitution x = u^(1/a) (resp.
+    1 - x = v^(1/b)), after which the integrand is smooth.
     """
 
     def __init__(self, a: float, b: float):
@@ -232,40 +241,13 @@ class Beta(Distribution):
         return out if out.ndim else float(out)
 
     def quadrature(self, breakpoints=()):
-        # Sub-1 shapes make the density blow up at an endpoint and keep huge
-        # derivatives well into the interior, so every segment on that half
-        # of [0, 1] is integrated in the substituted variable (x = u^(1/a)
-        # on the left, 1 - x = v^(1/b) on the right), where the integrand is
-        # smooth. Splitting at 1/2 keeps the two substitutions apart.
-        a, b = self.a, self.b
-        edges = _clean_edges(np.append(breakpoints, [0.5] if min(a, b) < 1.0 else []))
-        # Sorted edges make the left segments a prefix and the right ones a suffix.
-        n_left = int(np.count_nonzero(edges[1:] <= 0.5 + 1e-12)) if a < 1.0 else 0
-        n_right = int(np.count_nonzero(edges[n_left:-1] >= 0.5 - 1e-12)) if b < 1.0 else 0
-        plain = edges[n_left:edges.size - n_right]
-        parts = []
-        if n_left:
-            # x = u^(1/a); x^(a-1) dx = du / a, so the singular factor is gone.
-            # The bounds use Python's float pow, correctly rounded with glibc;
-            # numpy's SIMD pow can be one ulp off and shift every panel edge.
-            u, wu = _gauss_measure([e ** a for e in edges[:n_left + 1].tolist()],
-                                   grade_first=True)
-            x = u ** (1.0 / a)
-            parts.append((x, wu * np.exp((b - 1.0) * np.log1p(-x) - self._log_beta) / a))
-        if plain.size > 1:
-            # Non-integer shapes above 1 keep bounded densities, but their
-            # higher derivatives still blow up at the endpoint.
-            x, wx = _gauss_measure(plain,
-                                   grade_first=plain[0] == 0.0 and a > 1.0 and a != round(a),
-                                   grade_last=plain[-1] == 1.0 and b > 1.0 and b != round(b))
-            parts.append((x, wx * self.pdf(x)))
-        if n_right:
-            # 1 - x = v^(1/b), so v runs opposite to x.
-            v_edges = [(1.0 - e) ** b for e in edges[-1 - n_right:].tolist()]
-            v, wv = _gauss_measure(v_edges[::-1], grade_first=True)
-            x = 1.0 - v ** (1.0 / b)
-            parts.append((x, wv * np.exp((a - 1.0) * np.log(x) - self._log_beta) / b))
-        return _merge_ties(*(np.concatenate(c) for c in zip(*parts)))
+        # [1/2, 1] under Beta(a, b) is [0, 1/2] under Beta(b, a), mirrored by
+        # x -> 1 - x (exact for breakpoints in [1/2, 1]), so each half is built
+        # from its own endpoint and its singular factor is always x^(shape-1).
+        cuts = np.asarray(breakpoints, dtype=float).ravel()
+        x, wx = _beta_half(self.a, self.b, self._log_beta, cuts)
+        y, wy = _beta_half(self.b, self.a, self._log_beta, 1.0 - cuts)
+        return _merge_ties(np.concatenate((x, 1.0 - y)), np.concatenate((wx, wy)))
 
 
 # The alternating sum cancels: against exact arithmetic its pdf is within
@@ -352,8 +334,8 @@ class Bates(Distribution):
         return out if out.ndim else float(out)
 
     def quadrature(self, breakpoints=()):
-        kinks = np.arange(1, self.n) / self.n
-        return _density_measure(self.pdf, np.append(breakpoints, kinks))
+        pts, wts = _gauss_measure(1.0, np.append(breakpoints, np.arange(1, self.n) / self.n))
+        return _merge_ties(pts, wts * self.pdf(pts))
 
 
 class PointMass(Distribution):

@@ -22,6 +22,7 @@ import numpy as np
 from . import stats, theory
 from .distributions import parse_spec
 from .engine import (
+    TERMINATED_MAX_ITERATIONS,
     bisection_run,
     multisection_step,
     population_step,
@@ -282,11 +283,14 @@ def _scaling_cells(
     ]
 
 
+# Bracket width at which a contraction run would stop short of `iters`.
+_MIN_WIDTH = 1e-15
+
+
 def run_contraction_experiment(
     dist: str = "uniform",
     runs: int = 500,
     iters: int = 30,
-    tol: float = 1e-15,
     seed: int = DEFAULT_SEED,
     level: float = 0.95,
     resamples: int = 2000,
@@ -296,7 +300,8 @@ def run_contraction_experiment(
     Each run draws a uniform root, runs the bracketing algorithm for
     `iters` iterations, and records every scaling factor; bootstrap CIs
     for the mean factor and for (mean L_N)^(1/N) are compared against the
-    closed-form expected contraction.
+    closed-form expected contraction. A run cut short by the 1e-15 width
+    floor (or an exact hit of the root) raises `ArithmeticError`.
     """
     if runs < 2 or iters < 1:
         raise ValueError("need runs >= 2 and iters >= 1")
@@ -308,19 +313,20 @@ def run_contraction_experiment(
     for m in range(runs):
         rng = substream(seed, "contraction", m)
         root = float(rng.uniform())
-        trace = bisection_run(lambda x: x - root, 0.0, 1.0, cut_dist, tol, iters, rng)
-        run_ells = trace.ells()
-        ells[m, : run_ells.size] = run_ells
-        ells[m, run_ells.size:] = np.nan
+        trace = bisection_run(lambda x: x - root, 0.0, 1.0, cut_dist, _MIN_WIDTH, iters, rng)
+        if trace.iterations < iters:  # averaging shorter runs would bias both estimates
+            raise ArithmeticError(
+                f"contraction run {m} stopped after {trace.iterations} of {iters} "
+                f"iterations, at a width below {_MIN_WIDTH:g} or on the root")
+        ells[m] = trace.ells()
         final_lengths[m] = trace.final_length()
-    ells_flat = ells[np.isfinite(ells)]
 
     reference = theory.expected_contraction(cut_dist)
     report = ExperimentReport(
         "contraction",
-        {"cut": cut_dist.spec, "runs": runs, "iters": iters, "tol": tol,
+        {"cut": cut_dist.spec, "runs": runs, "iters": iters,
          "seed": seed, "level": level, "resamples": resamples},
-        _scaling_cells(ells_flat, final_lengths, iters, reference,
+        _scaling_cells(ells.ravel(), final_lengths, iters, reference,
                        seed, "contraction", level, resamples),
     )
     report.cells.append(Cell("theory_contraction_variance",
@@ -382,7 +388,8 @@ def run_fixed_root_experiment(
 
     Reports a bootstrap CI for the mean count, the min/max range, and a
     Wilson CI for the probability of a lucky run (no worse than
-    deterministic bisection at the same tolerance).
+    deterministic bisection at the same tolerance). A run that reaches
+    `max_iter` before `tol` raises `ArithmeticError`.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"fixed root must lie in (0, 1), got {r}")
@@ -393,10 +400,16 @@ def run_fixed_root_experiment(
 
     baseline = deterministic_iterations(tol)
     counts = np.empty(runs)
+    capped = 0
     for m in range(runs):
         rng = substream(seed, "fixed-root", m)
         trace = bisection_run(lambda x: x - r, 0.0, 1.0, cut_dist, tol, max_iter, rng)
         counts[m] = trace.iterations
+        capped += trace.terminated_by == TERMINATED_MAX_ITERATIONS
+    if capped:
+        raise ArithmeticError(
+            f"{capped} of {runs} runs hit max_iter = {max_iter} before the bracket "
+            f"narrowed below tol = {tol:g}")
 
     mean_ci = stats.bootstrap_mean_ci(
         counts, level=level, resamples=resamples,
@@ -660,6 +673,8 @@ def run_operator_experiment(
 
 def run_theory_report(dist: str, k_max: int = 6) -> ExperimentReport:
     """Closed-form quantities for a cut law, plus the K-section rates."""
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1, got {k_max}")
     law = parse_spec(dist)
     start = time.perf_counter()
     mu, var = law.moments()

@@ -1,4 +1,4 @@
-"""Suite-wide fixtures."""
+"""Suite-wide hooks."""
 
 import signal
 
@@ -12,16 +12,19 @@ def _timed_out(signum, frame):
     raise TimeoutError(f"test still running after {TEST_TIMEOUT_S} s")
 
 
-@pytest.fixture(autouse=True)
-def fail_hung_test():
-    """Fail a test that hangs instead of stalling the suite (where SIGALRM exists)."""
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Fail a test that hangs instead of stalling the suite (where SIGALRM exists).
+
+    The alarm spans the whole protocol of one test, so it also covers the
+    set-up of module-scoped fixtures that the test is the first to use.
+    """
     if not hasattr(signal, "SIGALRM"):
-        yield
-        return
+        return (yield)
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.alarm(TEST_TIMEOUT_S)
     try:
-        yield
+        return (yield)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -18,7 +18,6 @@ from stochbisect.distributions import (
     Uniform,
     _gauss_measure,
     _irwin_hall,
-    _merge_ties,
     parse_spec,
 )
 from stochbisect.seeding import substream
@@ -218,54 +217,53 @@ class TestMoments:
             var + mu * mu, abs=1e-8)
 
 
-def _loop_gauss_measure(bounds, grade_first, grade_last, reverse):
-    # Reference: one np.linspace panel set per segment, graded and laid out
-    # segment by segment, last to first if `reverse`.
+def _union_gauss_measure(hi, breakpoints, graded):
+    # Reference: the sorted union of the equal-panel edges, the breakpoints
+    # inside (0, hi) and, if graded, step * 2^-k for k = 1..48, built one
+    # panel at a time in Python floats.
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
-    blocks = []
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        edges = np.linspace(lo, hi, max(1, math.ceil(64 * (hi - lo))) + 1)
-        if grade_first and k == 0:
-            sub = lo + (edges[1] - lo) * 2.0 ** -np.arange(48, 0, -1)
-            edges = np.concatenate(([lo], sub, edges[1:]))
-        if grade_last and k == len(bounds) - 2:
-            sub = hi - (hi - edges[-2]) * 2.0 ** -np.arange(1, 49)
-            edges = np.concatenate((edges[:-1], sub, [hi]))
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        blocks.append(((mid[:, None] + half[:, None] * gl_x).ravel(),
-                       (half[:, None] * gl_w).ravel()))
-    if reverse:
-        blocks.reverse()
+    panels = math.ceil(64 * hi)
+    step = hi / panels
+    edges = {i * step for i in range(panels)} | {hi}
+    edges |= {float(e) for e in breakpoints if 0.0 < e < hi}
+    if graded:
+        edges |= {step * 2.0 ** -k for k in range(1, 49)}
+    edges = sorted(edges)
+    blocks = [(0.5 * (lo + up) + 0.5 * (up - lo) * gl_x, 0.5 * (up - lo) * gl_w)
+              for lo, up in zip(edges[:-1], edges[1:])]
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 class TestGaussMeasure:
-    BOUNDS = {
-        "unit": [0.0, 1.0],
-        "short": [0.0, 0.01],
-        "split": [0.0, 0.3, 0.5, 1.0],
-        "grid": list(np.linspace(0.0, 1.0, 65)),
-        "tiny": [0.0, 1e-300, 1e-10, 0.5, 0.5 + 1e-13, 1.0],
-        "substituted": [e ** 0.3 for e in (0.0, 0.1, 0.25, 0.5)],
-        "random": sorted(substream(4, "bounds").uniform(size=40)) + [1.0],
+    HI = {"unit": 1.0, "half": 0.5, "substituted": 0.5 ** 0.3, "short": 0.01}
+    BREAKPOINTS = {
+        "none": (),
+        "split": (0.3, 0.5),
+        "grid": tuple(np.linspace(0.0, 1.0, 65)),
+        "tiny": (1e-300, 1e-10, 0.5, 0.5 + 1e-13),
+        "substituted": tuple(e ** 0.3 for e in (0.1, 0.25, 0.4)),
+        "random": tuple(substream(4, "bounds").uniform(size=40)),
+        "out-of-range": (-0.5, 0.0, 1.0, 1.5, 0.5 ** 0.3, 0.01),
     }
 
-    @pytest.mark.parametrize("name", sorted(BOUNDS))
-    @pytest.mark.parametrize("grade_first", [False, True])
-    @pytest.mark.parametrize("grade_last", [False, True])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_matches_per_segment_loop_exactly(self, name, grade_first, grade_last, reverse):
-        # The builder lays segments out in increasing order. Once ties are
-        # merged the measure no longer depends on that layout, which is why
-        # Beta.quadrature may build its right block opposite to x.
-        bounds = self.BOUNDS[name]
-        got = _gauss_measure(bounds, grade_first, grade_last)
-        want = _loop_gauss_measure(bounds, grade_first, grade_last, reverse)
-        if reverse:
-            got, want = _merge_ties(*got), _merge_ties(*want)
+    @pytest.mark.parametrize("hi", sorted(HI))
+    @pytest.mark.parametrize("breakpoints", sorted(BREAKPOINTS))
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_matches_union_of_edges_reference(self, hi, breakpoints, graded):
+        # "tiny" with grading puts a breakpoint at 1e-300 inside the finest
+        # graded panel: the 48 graded edges must all still be there.
+        args = self.HI[hi], self.BREAKPOINTS[breakpoints], graded
+        got, want = _gauss_measure(*args), _union_gauss_measure(*args)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+    def test_grading_ignores_breakpoints_near_zero(self):
+        # The finest graded panels sit inside the first equal panel whatever
+        # the breakpoints, so a breakpoint below them only splits one panel.
+        plain, _ = _gauss_measure(1.0, (), graded=True)
+        split, _ = _gauss_measure(1.0, (1e-300,), graded=True)
+        assert split.size == plain.size + 16
+        assert np.isin(plain[16:], split).all()
 
 
 def _breakpoint_sets():
@@ -309,11 +307,7 @@ def test_quadrature_is_a_measure_on_distinct_increasing_nodes(dist):
         assert pts.shape == wts.shape, name
         assert np.all(np.diff(pts) > 0.0), name
         assert np.all(wts >= 0.0), name
-        # A breakpoint this close to an endpoint defeats the endpoint grading
-        # of fractional Beta shapes, which loses up to 2e-5 of mass; that
-        # defect is tracked separately, so only order and sign are checked.
-        if name != "near-endpoints":
-            assert abs(wts.sum() - 1.0) < 1e-12, name
+        assert abs(wts.sum() - 1.0) < 1e-12, name
 
 
 class TestStieltjesExpectation:

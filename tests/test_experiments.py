@@ -80,6 +80,7 @@ class TestContraction:
         report = ex.run_contraction_experiment("beta:2,2", runs=20, iters=5, seed=SEED)
         assert report.config["cut"] == "beta:2,2"
         assert report.config["seed"] == SEED
+        assert "tol" not in report.config  # every run takes exactly `iters` steps
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -260,7 +261,7 @@ class TestParser:
         assert capsys.readouterr().out.startswith(f"usage: stochbisect {name}")
 
     @pytest.mark.parametrize("name, flag, default", [
-        ("operator", "grid", "2049"), ("operator", "k", "30"), ("contraction", "tol", "1e-15")])
+        ("operator", "grid", "2049"), ("operator", "k", "30"), ("fixed-root", "tol", "1e-08")])
     def test_help_shows_the_runner_default(self, name, flag, default, capsys):
         with pytest.raises(SystemExit):
             main([name, "--help"])
@@ -348,7 +349,9 @@ class TestCli:
         assert main(["contraction", "--runs", "1"]) == EXIT_CONFIG
         # fixed-root needs a positive tol for its deterministic baseline and
         # at least one iteration; a NaN tol would stop every run at once.
-        for argv in ("contraction --tol nan",
+        # theory's K-section table needs at least one row.
+        for argv in ("theory --dist uniform --k-max 0",
+                     "theory --dist uniform --k-max=-2",
                      "fixed-root --r 0.1 --tol 0",
                      "fixed-root --r 0.1 --tol=-1e-8",
                      "fixed-root --r 0.1 --tol nan",
@@ -362,6 +365,26 @@ class TestCli:
             main(["fixed-root", "--r", "0.3", "--iters", "5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --iters 5" in capsys.readouterr().err
+
+    def test_contraction_rejects_tol(self, capsys):
+        # contraction always runs --iters steps; there is no --tol.
+        with pytest.raises(SystemExit) as exc:
+            main(["contraction", "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        # Halving cuts narrow every bracket below 1e-15 by step 50, so no run
+        # supplies 60 factors; averaging the shorter runs would be wrong.
+        ("contraction --dist point:0.5 --runs 2 --iters 60", "after 50 of 60 iterations"),
+        # Cuts at 0.999 of the bracket need about 18,400 steps to reach 1e-8
+        # around r = 0.5; the cap would pass for an iteration count.
+        ("fixed-root --r 0.5 --dist point:0.999 --tol 1e-8 --runs 5",
+         "5 of 5 runs hit max_iter = 1000"),
+    ])
+    def test_run_stopped_short_or_capped_exits_3(self, argv, message, capsys):
+        assert main(argv.split()) == EXIT_NUMERICAL
+        assert message in capsys.readouterr().err
 
     def test_numerical_failure_exits_3(self, capsys):
         code = main(["correlation", "--root-dist", "point:0.5", "--dist", "point:0.5",

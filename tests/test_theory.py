@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import stats as sps
 
 from stochbisect import theory
 from stochbisect.distributions import (
@@ -41,6 +42,20 @@ class TestConditionalExpectedLength:
 
     def test_beta22_at_one_is_half(self):
         assert theory.conditional_expected_length(1.0, Beta(2, 2)) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("a, b, r0", [(1.5, 50, 1e-4), (1.5, 50, 1e-7), (50, 1.5, 1 - 1e-4)])
+    def test_breakpoint_near_a_graded_endpoint_matches_quad(self, a, b, r0):
+        # r0 is a panel edge a hair from the endpoint where the fractional
+        # shape 1.5 needs graded panels; the grading must survive it.
+        law = sps.beta(a, b)
+        edges = [0.0, *sorted({r0, 0.3, 0.7}), 1.0]  # the mass sits within 0.3 of an end
+        oracle = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            value, err = integrate.quad(lambda c: (c if lo >= r0 else 1.0 - c) * law.pdf(c),
+                                        lo, hi, epsabs=1e-16, epsrel=1e-13, limit=200)
+            assert err < 1e-14
+            oracle += value
+        assert abs(theory.conditional_expected_length(r0, Beta(a, b)) - oracle) < 1e-12
 
     def test_point_mass(self):
         # deterministic midpoint cut: factor 1/2 at the root, worse elsewhere

@@ -6,10 +6,14 @@ the parameter name with dashes for underscores, its type is the
 parameter's annotation, it is required exactly when the parameter has no
 default, and `--help` shows that default. Adding a runner parameter
 therefore needs no edit here. Omitted flags stay out of the parsed
-namespace, so the function's signature holds every default. Reports are
-written as CSV (default) or JSON to stdout or --out. Exit codes: 0 on
-success, 2 on argument or spec errors, 3 on numerical precondition
-failures (invalid bracket, endpoint atoms, degenerate samples).
+namespace, so the function's signature holds every default. Settings no
+caller varies (interval level, bootstrap resamples, KS level, band width,
+K-section table size) are constants in `experiments`, not flags. Reports
+are written as CSV (default) or JSON to stdout or --out, and the time the
+runner took goes to stderr. Exit codes: 0 on success, 2 on argument or
+spec errors or an --out path that cannot be written, 3 on numerical
+precondition failures (invalid bracket, endpoint atoms, degenerate
+samples).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+import time
 
 from .distributions import DomainError, NoDensityError
 from .engine import BracketError, CutRedrawError
@@ -65,15 +70,10 @@ _HELP = {
     "root_dist": "initial root law",
     "tol": "bracket width at which a run stops",
     "max_iter": "iteration cap per run",
-    "level": "CI level",
-    "resamples": "bootstrap resample count",
     "r": "fixed root in (0,1)",
-    "alpha": "KS test level",
     "k": "cuts per iteration (ksection) or operator applications (operator)",
     "g0": "starting CDF: a distribution spec, 'cubic', or 'identity'",
     "grid": "grid nodes",
-    "delta": "band width for the bound",
-    "k_max": "largest K in the K-section table",
 }
 
 
@@ -105,6 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     del kwargs["command"]
     run = kwargs.pop("run")
     fmt, out = kwargs.pop("format"), kwargs.pop("out")
+    start = time.perf_counter()
     try:
         report = run(**kwargs)
     except _NUMERICAL_ERRORS as exc:
@@ -113,14 +114,19 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    elapsed = time.perf_counter() - start
 
     text = report_to_json(report) if fmt == "json" else report_to_csv(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
-    print(f"# {report.experiment} completed in {report.wall_time:.3f} s", file=sys.stderr)
+    print(f"# {report.experiment} completed in {elapsed:.3f} s", file=sys.stderr)
     return EXIT_OK
 
 

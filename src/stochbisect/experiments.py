@@ -6,6 +6,11 @@ index), so reports are reproducible byte for byte and runs could execute
 in any order or in parallel. Results come back as an `ExperimentReport`
 (config echo, labelled cells with theory references, named data series)
 that serializes to CSV or JSON and parses back losslessly.
+
+The statistical conventions are module constants, not runner parameters:
+95% intervals from 2000 bootstrap resamples, KS tests at level 0.01, a
+band of width 0.25 for the operator's rate bound and K-section rates up
+to K = 6. Each report echoes the ones it used in its config.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -49,6 +53,12 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20250811
+
+LEVEL = 0.95  # confidence level of every interval
+RESAMPLES = 2000  # bootstrap resamples per interval
+ALPHA = 0.01  # KS test level
+DELTA = 0.25  # band width of the operator's rate bound
+K_MAX = 6  # largest K in the theory report's K-section table
 
 # Iterations deterministic bisection needs on a unit interval: smallest n
 # with 2^-n < tol. Runs at or under this count are the "lucky" ones.
@@ -106,7 +116,6 @@ class ExperimentReport:
     cells: list[Cell] = field(default_factory=list)
     series: dict[str, tuple[list[str], list[tuple]]] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
 
     def cell(self, label: str) -> Cell:
         for cell in self.cells:
@@ -118,7 +127,7 @@ class ExperimentReport:
         self.series[name] = (list(columns), [tuple(map(float, row)) for row in rows])
 
     def to_payload(self) -> dict:
-        """Canonical JSON-safe dict; wall_time is deliberately excluded."""
+        """Canonical JSON-safe dict."""
         cells = []
         for cell in self.cells:
             entry: dict = {"label": cell.label}
@@ -265,15 +274,13 @@ def _scaling_cells(
     reference: float,
     seed: int,
     tag: str,
-    level: float,
-    resamples: int,
 ) -> list[Cell]:
     mean_ci = stats.bootstrap_mean_ci(
-        ells.ravel(), level=level, resamples=resamples,
+        ells.ravel(), level=LEVEL, resamples=RESAMPLES,
         rng=substream(seed, tag, "bootstrap-ell"),
     )
     length_ci = stats.bootstrap_mean_ci(
-        final_lengths, level=level, resamples=resamples,
+        final_lengths, level=LEVEL, resamples=RESAMPLES,
         rng=substream(seed, tag, "bootstrap-length"),
     )
     geo_ci = _interval_after_root(length_ci, 1.0 / iters)
@@ -292,8 +299,6 @@ def run_contraction_experiment(
     runs: int = 500,
     iters: int = 30,
     seed: int = DEFAULT_SEED,
-    level: float = 0.95,
-    resamples: int = 2000,
 ) -> ExperimentReport:
     """Per-step scaling factors of random-cut bisection on f(x) = x - r.
 
@@ -306,7 +311,6 @@ def run_contraction_experiment(
     if runs < 2 or iters < 1:
         raise ValueError("need runs >= 2 and iters >= 1")
     cut_dist = parse_spec(dist)
-    start = time.perf_counter()
 
     ells = np.empty((runs, iters))
     final_lengths = np.empty(runs)
@@ -325,13 +329,12 @@ def run_contraction_experiment(
     report = ExperimentReport(
         "contraction",
         {"cut": cut_dist.spec, "runs": runs, "iters": iters,
-         "seed": seed, "level": level, "resamples": resamples},
+         "seed": seed, "level": LEVEL, "resamples": RESAMPLES},
         _scaling_cells(ells.ravel(), final_lengths, iters, reference,
-                       seed, "contraction", level, resamples),
+                       seed, "contraction"),
     )
     report.cells.append(Cell("theory_contraction_variance",
                              value=theory.contraction_variance(cut_dist)))
-    report.wall_time = time.perf_counter() - start
     return report
 
 
@@ -340,15 +343,12 @@ def run_ksection_experiment(
     runs: int = 500,
     iters: int = 30,
     seed: int = DEFAULT_SEED,
-    level: float = 0.95,
-    resamples: int = 2000,
 ) -> ExperimentReport:
     """Scaling factors of the K-cut variant with uniform cuts and root."""
     if k < 1:
         raise ValueError("need k >= 1")
     if runs < 2 or iters < 1:
         raise ValueError("need runs >= 2 and iters >= 1")
-    start = time.perf_counter()
 
     ells = np.empty((runs, iters))
     final_lengths = np.empty(runs)
@@ -366,11 +366,10 @@ def run_ksection_experiment(
     report = ExperimentReport(
         "ksection",
         {"k": k, "runs": runs, "iters": iters, "seed": seed,
-         "level": level, "resamples": resamples},
+         "level": LEVEL, "resamples": RESAMPLES},
         _scaling_cells(ells.ravel(), final_lengths, iters, reference,
-                       seed, "ksection", level, resamples),
+                       seed, "ksection"),
     )
-    report.wall_time = time.perf_counter() - start
     return report
 
 
@@ -381,8 +380,6 @@ def run_fixed_root_experiment(
     runs: int = 1000,
     seed: int = DEFAULT_SEED,
     max_iter: int = 1000,
-    level: float = 0.95,
-    resamples: int = 2000,
 ) -> ExperimentReport:
     """Iteration counts to tolerance for a fixed root position.
 
@@ -396,7 +393,6 @@ def run_fixed_root_experiment(
     if runs < 2 or max_iter < 1:
         raise ValueError("need runs >= 2 and max_iter >= 1")
     cut_dist = parse_spec(dist)
-    start = time.perf_counter()
 
     baseline = deterministic_iterations(tol)
     counts = np.empty(runs)
@@ -412,23 +408,22 @@ def run_fixed_root_experiment(
             f"narrowed below tol = {tol:g}")
 
     mean_ci = stats.bootstrap_mean_ci(
-        counts, level=level, resamples=resamples,
+        counts, level=LEVEL, resamples=RESAMPLES,
         rng=substream(seed, "fixed-root", "bootstrap"),
     )
     lucky = int(np.sum(counts <= baseline))
     report = ExperimentReport(
         "fixed-root",
         {"r": r, "cut": cut_dist.spec, "tol": tol, "runs": runs,
-         "seed": seed, "max_iter": max_iter, "level": level, "resamples": resamples},
+         "seed": seed, "max_iter": max_iter, "level": LEVEL, "resamples": RESAMPLES},
         [
             Cell("mean_iterations", estimate=mean_ci),
             Cell("min_iterations", value=float(counts.min())),
             Cell("max_iterations", value=float(counts.max())),
             Cell("deterministic_iterations", value=float(baseline)),
-            Cell("lucky_run_probability", estimate=stats.wilson_ci(lucky, runs, level)),
+            Cell("lucky_run_probability", estimate=stats.wilson_ci(lucky, runs, LEVEL)),
         ],
     )
-    report.wall_time = time.perf_counter() - start
     return report
 
 
@@ -441,12 +436,11 @@ def run_stationarity_experiment(
     runs: int = 1000,
     iters: int = 40,
     seed: int = DEFAULT_SEED,
-    alpha: float = 0.01,
 ) -> ExperimentReport:
     """Distribution of the normalized root after many iterations.
 
     Evolves `runs` independent chains, then emits Q-Q data of the final
-    normalized roots against the uniform law and a KS test at level alpha.
+    normalized roots against the uniform law and a KS test at level `ALPHA`.
     Orbits collapsing onto the endpoints are flagged as non-convergent
     rather than raising.
     """
@@ -454,11 +448,10 @@ def run_stationarity_experiment(
         raise ValueError("need runs >= 2 and iters >= 1")
     root_law = parse_spec(root_dist)
     cut_dist = parse_spec(dist)
-    start = time.perf_counter()
 
     rng = substream(seed, "stationarity")
     roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
-    critical = stats.ks_critical_value(runs, alpha)
+    critical = stats.ks_critical_value(runs, ALPHA)
     ks_rows = []
     for n in range(1, iters + 1):
         _, roots = population_step(roots, cut_dist, rng)
@@ -471,7 +464,7 @@ def run_stationarity_experiment(
     report = ExperimentReport(
         "stationarity",
         {"root": root_law.spec, "cut": cut_dist.spec, "runs": runs,
-         "iters": iters, "seed": seed, "alpha": alpha},
+         "iters": iters, "seed": seed, "alpha": ALPHA},
         [
             Cell("ks_statistic", value=ks),
             Cell("ks_critical_value", value=critical),
@@ -487,7 +480,6 @@ def run_stationarity_experiment(
     report.add_series("ks", ["n", "ks_statistic", "critical_value"], ks_rows)
     report.add_series("qq", ["theoretical_quantile", "sample_quantile"],
                       stats.qq_points(roots))
-    report.wall_time = time.perf_counter() - start
     return report
 
 
@@ -513,7 +505,6 @@ def run_decay_experiment(
         raise ValueError("need iters >= 2")
     root_law = parse_spec(root_dist)
     cut_dist = parse_spec(dist)
-    start = time.perf_counter()
 
     rng = substream(seed, "decay")
     roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
@@ -566,7 +557,6 @@ def run_decay_experiment(
                       [(n, ks_values[n]) for n in range(iters + 1)])
     report.add_series("mean_deviation", ["n", "mean_abs_deviation"],
                       [(n, mean_devs[n - 1]) for n in range(1, iters + 1)])
-    report.wall_time = time.perf_counter() - start
     return report
 
 
@@ -584,7 +574,6 @@ def run_correlation_experiment(
         raise ValueError("need runs >= 2")
     root_law = parse_spec(root_dist)
     cut_dist = parse_spec(dist)
-    start = time.perf_counter()
 
     rng = substream(seed, "correlation")
     roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
@@ -605,7 +594,6 @@ def run_correlation_experiment(
         ],
     )
     report.add_series("matrix", [f"l{j + 1}" for j in range(iters)], corr.tolist())
-    report.wall_time = time.perf_counter() - start
     return report
 
 
@@ -625,28 +613,27 @@ def run_operator_experiment(
     dist: str = "uniform",
     k: int = 30,
     grid: int = 2049,
-    delta: float = 0.25,
     seed: int = DEFAULT_SEED,
 ) -> ExperimentReport:
     """Iterate the root-law operator and track sup-norm decay vs its bound.
 
     Emits one row per iteration: sup-norm distance to the identity, the
-    theoretical bound at that k, and the mean/variance of the induced
-    scaling-factor law H_k.
+    theoretical bound at that k for the band width `DELTA`, and the
+    mean/variance of the induced scaling-factor law H_k. The report echoes
+    `seed`, which nothing here draws from: the operator is deterministic.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    start = time.perf_counter()
     cut_dist = parse_spec(dist)
     start_cdf = _grid_from_spec(g0, grid)
-    eps = band_epsilon(start_cdf, delta)
+    eps = band_epsilon(start_cdf, DELTA)
 
     iterates = iterate_operator(start_cdf, cut_dist, k)
     rows = []
     within = True
     for step, iterate in enumerate(iterates, start=1):
         distance = iterate.sup_distance_to_identity()
-        bound = rate_bound(start_cdf, cut_dist, delta, eps, step)
+        bound = rate_bound(start_cdf, cut_dist, DELTA, eps, step)
         mean_h, var_h = hn_mean_var(iterate, cut_dist)
         within = within and distance <= bound
         rows.append((step, distance, bound, mean_h, var_h))
@@ -654,7 +641,7 @@ def run_operator_experiment(
     report = ExperimentReport(
         "operator",
         {"g0": g0, "cut": cut_dist.spec, "k": k, "grid": grid,
-         "delta": delta, "seed": seed},
+         "delta": DELTA, "seed": seed},
         [
             Cell("initial_sup_distance", value=start_cdf.sup_distance_to_identity()),
             Cell("band_epsilon", value=eps),
@@ -667,20 +654,20 @@ def run_operator_experiment(
     report.add_series(
         "iterates", ["k", "sup_norm_distance", "rate_bound", "mean_Hk", "var_Hk"], rows
     )
-    report.wall_time = time.perf_counter() - start
     return report
 
 
-def run_theory_report(dist: str, k_max: int = 6) -> ExperimentReport:
-    """Closed-form quantities for a cut law, plus the K-section rates."""
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
+def run_theory_report(dist: str) -> ExperimentReport:
+    """Closed-form quantities for a cut law, plus the K-section rates.
+
+    The `ksection` series is 2/(K+2) for K = 1..`K_MAX`: the rate of K
+    uniform cuts per step, the same whatever `dist` is.
+    """
     law = parse_spec(dist)
-    start = time.perf_counter()
     mu, var = law.moments()
     report = ExperimentReport(
         "theory",
-        {"dist": law.spec, "k_max": k_max},
+        {"dist": law.spec, "k_max": K_MAX},
         [
             Cell("mean", value=mu),
             Cell("variance", value=var),
@@ -696,7 +683,6 @@ def run_theory_report(dist: str, k_max: int = 6) -> ExperimentReport:
     )
     report.add_series(
         "ksection", ["k", "expected_scaling"],
-        [(kk, theory.ksection_expected(kk)) for kk in range(1, k_max + 1)],
+        [(kk, theory.ksection_expected(kk)) for kk in range(1, K_MAX + 1)],
     )
-    report.wall_time = time.perf_counter() - start
     return report

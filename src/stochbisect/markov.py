@@ -41,7 +41,6 @@ __all__ = [
     "ell_cdf_general",
     "band_epsilon",
     "rate_bound",
-    "mean_rate_bound",
     "hn_mean_var",
 ]
 
@@ -245,10 +244,17 @@ def band_epsilon(grid_cdf: GridCdf, delta: float) -> float:
     return float(np.max(np.abs(grid_cdf.values[band] - nodes[band])))
 
 
-def _scaled_decay(
+def rate_bound(
     grid_cdf: GridCdf, cut_dist: Distribution, delta: float, eps: float, k: int
 ) -> float:
-    """||G0 - t|| (1 - 2q)^k / (delta (1 - delta)), after checking the hypotheses."""
+    """Sup-norm bound eps + ||G0 - t|| (1 - 2q)^k / (4 delta (1 - delta)).
+
+    q is the cut law's E[c(1-c)]. The hypothesis |G0(t) - t| <= eps on the
+    bands [0, delta) union (1 - delta, 1] is checked on the grid; pass
+    `band_epsilon(G0, delta)` for the tightest admissible eps. Since
+    ||H_k - H|| <= 2 ||G_k - t||, twice the bound also bounds
+    |mean(H_k) - mean(H)|.
+    """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if eps < 0.0:
@@ -261,26 +267,7 @@ def _scaled_decay(
         )
     rate = 1.0 - 2.0 * cut_concavity(cut_dist)
     sup = grid_cdf.sup_distance_to_identity()
-    return sup * rate**k / (delta * (1.0 - delta))
-
-
-def rate_bound(
-    grid_cdf: GridCdf, cut_dist: Distribution, delta: float, eps: float, k: int
-) -> float:
-    """Sup-norm bound eps + ||G0 - t|| (1 - 2q)^k / (4 delta (1 - delta)).
-
-    q is the cut law's E[c(1-c)]. The hypothesis |G0(t) - t| <= eps on the
-    bands [0, delta) union (1 - delta, 1] is checked on the grid; pass
-    `band_epsilon(G0, delta)` for the tightest admissible eps.
-    """
-    return eps + _scaled_decay(grid_cdf, cut_dist, delta, eps, k) / 4.0
-
-
-def mean_rate_bound(
-    grid_cdf: GridCdf, cut_dist: Distribution, delta: float, eps: float, k: int
-) -> float:
-    """Bound 2 eps + ||G0 - t|| (1 - 2q)^k / (2 delta (1 - delta)) on |mean(H_k) - mean(H)|."""
-    return 2.0 * eps + _scaled_decay(grid_cdf, cut_dist, delta, eps, k) / 2.0
+    return eps + sup * rate**k / (delta * (1.0 - delta)) / 4.0
 
 
 def hn_mean_var(grid_cdf: GridCdf, cut_dist: Distribution) -> tuple[float, float]:

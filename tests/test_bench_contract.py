@@ -1,0 +1,40 @@
+"""The benchmark's span-count contract, replayed inside the test suite.
+
+Every `readme` and `operator` operation in `bench/workloads.py` names the
+number of spans its inputs imply for each traced function it lists, and a
+traced benchmark run fails when a count differs or a command does not
+exit 0. Renaming a runner, dropping a flag the workloads pass (`operator
+--seed`, say) or moving work between traced functions therefore breaks
+the benchmark; this test runs one traced pass so that the suite fails
+first. It only imports `bench/`.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+
+import worker  # noqa: E402
+from tracer import Tracer  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+SEED = 7
+
+
+@pytest.mark.parametrize("workload", ["readme", "operator"])
+def test_traced_pass_matches_the_span_counts(workload):
+    ops = WORKLOADS[workload](SEED)
+    runner = worker.Runner(worker.import_package(), ops)
+    outcomes = [{} for _ in ops]
+    tracer = Tracer()
+    check = worker.CrossCheck(tracer)
+    tracer.install()
+    try:
+        runner.measured_pass(ops, outcomes, on_op=check)
+    finally:
+        tracer.uninstall()
+    assert dict(check.mismatches) == {}
+    exit_codes = {op.name: [code for code, _ in seen] for op, seen in zip(ops, outcomes)}
+    assert exit_codes == {op.name: [0] for op in ops}

@@ -32,11 +32,6 @@ class TestReportSerialization:
     def test_json_round_trip(self, report):
         assert json.loads(report_to_json(report)) == report.to_payload()
 
-    def test_wall_time_not_serialized(self, report):
-        assert report.wall_time > 0.0
-        assert "wall_time" not in report_to_json(report)
-        assert "wall_time" not in report_to_csv(report)
-
     def test_series_round_trip(self):
         report = ex.run_stationarity_experiment(runs=50, iters=5, seed=SEED)
         payload = parse_report_csv(report_to_csv(report))
@@ -46,6 +41,39 @@ class TestReportSerialization:
         cell = report.to_payload()["cells"][0]
         assert cell["label"] == "mean_scaling_factor"
         assert "theory" in cell and "theory_inside" in cell
+
+
+class TestFixedSettings:
+    """Interval level, resamples, KS level, band width and K-section size are constants."""
+
+    @pytest.mark.parametrize("runner, kwargs, echoed", [
+        (ex.run_contraction_experiment, {"runs": 20, "iters": 5},
+         {"level": 0.95, "resamples": 2000}),
+        (ex.run_ksection_experiment, {"runs": 20, "iters": 5},
+         {"level": 0.95, "resamples": 2000}),
+        (ex.run_fixed_root_experiment, {"r": 0.3, "runs": 5},
+         {"level": 0.95, "resamples": 2000}),
+        (ex.run_stationarity_experiment, {"runs": 20, "iters": 2}, {"alpha": 0.01}),
+        (ex.run_operator_experiment, {"k": 1, "grid": 65}, {"delta": 0.25}),
+        (ex.run_theory_report, {"dist": "uniform"}, {"k_max": 6}),
+    ], ids=["contraction", "ksection", "fixed-root", "stationarity", "operator", "theory"])
+    def test_reports_echo_the_constants(self, runner, kwargs, echoed):
+        config = runner(**kwargs).config
+        assert {key: config[key] for key in echoed} == echoed
+
+    @pytest.mark.parametrize("argv", [
+        "contraction --level 0.9", "contraction --resamples 200",
+        "ksection --level 0.9", "ksection --resamples 200",
+        "fixed-root --r 0.3 --level 0.9", "fixed-root --r 0.3 --resamples 200",
+        "stationarity --alpha 0.05", "operator --delta 0.1",
+        "theory --dist uniform --k-max 3",
+    ])
+    def test_setting_is_not_a_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        flag, value = argv.split()[-2:]
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -308,8 +336,8 @@ class TestParser:
 
     def test_runner_is_looked_up_when_the_parser_is_built(self, monkeypatch):
         # A rebound module attribute (a wrapper, say) is what the CLI calls.
-        def wrapped(dist: str, k_max: int = 6):
-            return ex.run_theory_report(dist, k_max)
+        def wrapped(dist: str):
+            return ex.run_theory_report(dist)
 
         monkeypatch.setattr(ex, "run_theory_report", wrapped)
         assert _subparsers()["theory"].get_default("run") is wrapped
@@ -349,10 +377,7 @@ class TestCli:
         assert main(["contraction", "--runs", "1"]) == EXIT_CONFIG
         # fixed-root needs a positive tol for its deterministic baseline and
         # at least one iteration; a NaN tol would stop every run at once.
-        # theory's K-section table needs at least one row.
-        for argv in ("theory --dist uniform --k-max 0",
-                     "theory --dist uniform --k-max=-2",
-                     "fixed-root --r 0.1 --tol 0",
+        for argv in ("fixed-root --r 0.1 --tol 0",
                      "fixed-root --r 0.1 --tol=-1e-8",
                      "fixed-root --r 0.1 --tol nan",
                      "fixed-root --r 0.1 --max-iter 0"):
@@ -428,6 +453,20 @@ class TestCli:
                      "--iters", "10", "--seed", str(SEED)])
         assert code == EXIT_NUMERICAL
         assert "underflowed" in capsys.readouterr().err
+
+    def test_main_times_the_run_on_stderr(self, capsys):
+        assert main(["theory", "--dist", "uniform"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"# theory completed in \d+\.\d{3} s\n", captured.err)
+        assert "completed" not in captured.out
+        assert not hasattr(ex.run_theory_report("uniform"), "wall_time")
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.csv"
+        assert main(["theory", "--dist", "uniform", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write report: ")
+        assert str(out) in captured.err and captured.out == ""
 
     def test_stdout_default(self, capsys):
         assert main(["theory", "--dist", "uniform"]) == EXIT_OK

@@ -25,10 +25,10 @@ CUTS = str(GOLDEN / "cuts.txt")
 # laws cover every quadrature region: left substitution (a < 1), right
 # substitution (b < 1), both at once, and graded fractional shapes.
 COMMANDS = {
-    "contraction": "contraction --dist beta:2,2 --runs 20 --iters 10 --resamples 200",
-    "ksection": "ksection --k 2 --runs 20 --iters 10 --resamples 200",
-    "fixed_root": "fixed-root --r 0.1 --dist bates:5 --tol 1e-6 --runs 20 --resamples 200",
-    "fixed_root_point": "fixed-root --r 0.3 --dist point:0.5 --tol 1e-6 --runs 5 --resamples 50",
+    "contraction": "contraction --dist beta:2,2 --runs 20 --iters 10",
+    "ksection": "ksection --k 2 --runs 20 --iters 10",
+    "fixed_root": "fixed-root --r 0.1 --dist bates:5 --tol 1e-6 --runs 20",
+    "fixed_root_point": "fixed-root --r 0.3 --dist point:0.5 --tol 1e-6 --runs 5",
     "stationarity": "stationarity --root-dist beta:0.5,2 --dist uniform --runs 200 --iters 10",
     "decay": "decay --root-dist beta:0.1,2 --runs 500 --iters 10",
     "correlation": "correlation --root-dist beta:5,50 --dist beta:5,50 --runs 500 --iters 4",

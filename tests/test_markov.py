@@ -13,7 +13,6 @@ from stochbisect.markov import (
     ell_cdf_general,
     hn_mean_var,
     iterate_operator,
-    mean_rate_bound,
     rate_bound,
 )
 
@@ -228,19 +227,19 @@ class TestRateBounds:
 
     def test_hypothesis_violation_raises(self):
         grid = cubic_grid(257)
-        for bound in (rate_bound, mean_rate_bound):
-            with pytest.raises(BandHypothesisError):
-                bound(grid, Uniform(), 0.25, 1e-6, 1)
-            with pytest.raises(ValueError, match="eps must be nonnegative"):
-                bound(GridCdf.identity(257), Uniform(), 0.25, -1e-9, 1)
+        with pytest.raises(BandHypothesisError):
+            rate_bound(grid, Uniform(), 0.25, 1e-6, 1)
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            rate_bound(GridCdf.identity(257), Uniform(), 0.25, -1e-9, 1)
 
     def test_mean_bound_holds(self):
+        # ||H_k - H|| <= 2 ||G_k - t||, so twice the sup-norm bound holds for the mean.
         grid = GridCdf.from_distribution(Beta(2, 2), 513)
         eps = band_epsilon(grid, 0.25)
         mu_limit = theory.expected_contraction(Uniform())
         for k, it in enumerate(iterate_operator(grid, Uniform(), 10), start=1):
             mean_k, _ = hn_mean_var(it, Uniform())
-            bound = mean_rate_bound(grid, Uniform(), 0.25, eps, k)
+            bound = 2 * rate_bound(grid, Uniform(), 0.25, eps, k)
             assert abs(mean_k - mu_limit) <= bound + 1e-6
 
 

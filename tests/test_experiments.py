@@ -67,7 +67,7 @@ class TestFixedSettings:
         "fixed-root --r 0.3 --level 0.9", "fixed-root --r 0.3 --resamples 200",
         "stationarity --alpha 0.05", "operator --delta 0.1",
         "theory --dist uniform --k-max 3",
-    ])
+    ], ids=lambda argv: f"{argv.split()[0]}-{argv.split()[-2]}")
     def test_setting_is_not_a_flag(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv.split())

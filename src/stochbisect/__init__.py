@@ -28,7 +28,6 @@ from .stats import IntervalEstimate, bootstrap_mean_ci, ks_statistic, wilson_ci
 from .theory import (
     conditional_expected_length,
     contraction_variance,
-    ell_cdf,
     ell_pdf,
     expected_contraction,
     expected_interval_length,
@@ -53,7 +52,6 @@ __all__ = [
     "bootstrap_mean_ci",
     "conditional_expected_length",
     "contraction_variance",
-    "ell_cdf",
     "ell_cdf_general",
     "ell_pdf",
     "expected_contraction",

@@ -191,11 +191,15 @@ class Uniform(Distribution):
 class Beta(Distribution):
     """Beta(a, b) law; density x^(a-1) (1-x)^(b-1) / B(a, b).
 
-    Sampling draws two gamma variates (shape-rate construction), so it is
-    exact for all shapes, including a < 1 or b < 1. Quadrature builds each
-    half of [0, 1] from its own endpoint (`_beta_half`), removing the
-    singularity of a sub-1 shape with the substitution x = u^(1/a) (resp.
-    1 - x = v^(1/b)), after which the integrand is smooth.
+    Sampling is numpy's `Generator.beta`: the gamma ratio G_a / (G_a + G_b)
+    when max(a, b) > 1 and Johnk's algorithm, in log space, when both
+    shapes are at most 1, so tiny shapes never draw 0/0; a draw closer to
+    an endpoint than a double resolves is exactly 0 or 1.
+
+    Quadrature builds each half of [0, 1] from its own endpoint
+    (`_beta_half`), removing the singularity of a sub-1 shape with the
+    substitution x = u^(1/a) (resp. 1 - x = v^(1/b)), after which the
+    integrand is smooth.
     """
 
     def __init__(self, a: float, b: float):
@@ -211,13 +215,7 @@ class Beta(Distribution):
         return f"beta:{self.a:g},{self.b:g}"
 
     def sample(self, rng, size=None):
-        x = rng.standard_gamma(self.a, size=size)
-        total = x + rng.standard_gamma(self.b, size=size)
-        # Both variates underflow to 0 for tiny shapes; x / total is then 0/0.
-        if (total == 0.0) if size is None else not total.all():
-            raise ArithmeticError(
-                f"{self.spec} draw failed: both gamma variates underflowed to 0")
-        return x / total
+        return rng.beta(self.a, self.b, size=size)
 
     def cdf(self, x):
         return regularized_incomplete_beta(self.a, self.b, self._check_domain(x))

@@ -148,9 +148,10 @@ def bisection_run(
     """Bisection with a random cut, bracketing a sign change of f.
 
     Each iteration draws c in (0, 1) and cuts at a + (b - a) c, keeping
-    whichever side still brackets the root, until b - a < tol or the
-    iteration cap is hit. A `tol` of 0 or below runs to the cap; a NaN
-    `tol` raises `ValueError`.
+    [a, cut] when the signs of f(cut) and f(a) differ and [cut, b]
+    otherwise, until b - a < tol or the iteration cap is hit. Comparing
+    signs rather than a product works at any scale of f. A `tol` of 0 or
+    below runs to the cap; a NaN `tol` raises `ValueError`.
 
     A cut with f(cut) == 0 stops the run with `terminated_by ==
     "exact_root"`; its record has a == b == cut and ell == L == 0. A NaN
@@ -173,18 +174,13 @@ def bisection_run(
     while b - a >= tol and n < max_iter:
         c = draw_cut(cut_dist, rng)
         cut = a + (b - a) * c
-        fc = f(cut)
+        fc = _finite(cut, f(cut))
         n += 1
-        sign = fa * fc
-        if not 0.0 < abs(sign) < math.inf:
-            # Zero, NaN or infinite product: an exact root, a non-finite
-            # value, or a scale the product under- or overflows.
-            if _finite(cut, fc) == 0.0:
-                trace.records.append(IterationRecord(n, cut, cut, cut, 0.0, 0.0))
-                trace.terminated_by = TERMINATED_EXACT_ROOT
-                return trace
-            sign = fc if fa > 0.0 else -fc
-        if sign < 0.0:
+        if fc == 0.0:
+            trace.records.append(IterationRecord(n, cut, cut, cut, 0.0, 0.0))
+            trace.terminated_by = TERMINATED_EXACT_ROOT
+            return trace
+        if (fc < 0.0) != (fa < 0.0):
             b = cut
         else:
             a, fa = cut, fc

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, PointMass, Uniform
-from .theory import cut_concavity
+from .distributions import Distribution, Uniform
+from .theory import cut_concavity, expected_contraction
 
 __all__ = [
     "EndpointAtomError",
@@ -51,7 +51,7 @@ _ENDPOINT_TOL = 1e-12
 
 
 class EndpointAtomError(ValueError):
-    """Starting CDF has mass at 0 or 1, or the cut law is an endpoint atom."""
+    """Starting CDF has mass at 0 or 1, or the cut law has all its mass there."""
 
 
 class BandHypothesisError(ValueError):
@@ -182,9 +182,9 @@ def iterate_operator(
 ) -> list[GridCdf]:
     """[T G, T^2 G, ..., T^k G].
 
-    Requires G(0) = 0 and G(1) = 1 (no endpoint atoms) and a cut law that
-    is not an endpoint atom; either obstruction makes T fail to converge
-    to the uniform law.
+    Requires G(0) = 0 and G(1) = 1 (no endpoint atoms) and a cut law with
+    q = E[c(1-c)] > 0, that is, one not carried by the endpoints 0 and 1;
+    either obstruction makes T fail to converge to the uniform law.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -193,7 +193,7 @@ def iterate_operator(
             f"starting CDF has endpoint mass: G(0)={grid_cdf.values[0]!r}, "
             f"G(1)={grid_cdf.values[-1]!r}"
         )
-    if isinstance(cut_dist, PointMass) and cut_dist.c in (0.0, 1.0):
+    if cut_concavity(cut_dist) <= _ENDPOINT_TOL:
         raise EndpointAtomError("cuts almost surely at an endpoint never contract")
     iterates = []
     current = grid_cdf
@@ -206,8 +206,9 @@ def iterate_operator(
 def ell_cdf_general(grid_cdf: GridCdf, cut_dist: Distribution, t) -> np.ndarray | float:
     """H_n(t) = int_0^t G dF + int_{1-t}^1 (1 - G) dF for a grid-CDF root.
 
-    With the identity grid this reduces to the uniform-root law
-    `theory.ell_cdf`. Accepts scalar or array t.
+    On the identity grid (`GridCdf.identity(2)`) this is the uniform-root
+    law H(t) = int_0^t x dF + int_{1-t}^1 (1 - x) dF. Accepts scalar or
+    array t.
     """
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -265,7 +266,7 @@ def rate_bound(
             f"band deviation {measured:.3e} exceeds eps={eps:.3e} on "
             f"[0,{delta}) u ({1 - delta},1]"
         )
-    rate = 1.0 - 2.0 * cut_concavity(cut_dist)
+    rate = expected_contraction(cut_dist)
     sup = grid_cdf.sup_distance_to_identity()
     return eps + sup * rate**k / (delta * (1.0 - delta)) / 4.0
 

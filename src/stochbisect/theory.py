@@ -11,6 +11,10 @@ where (mu, sigma^2) are the cut's moments. Since 0 <= c(1-c) <= 1/4 gives
 q = E[c(1-c)] in [0, 1/4], the expected contraction always lies in
 [1/2, 1], with 1/2 attained only by the deterministic midpoint cut.
 
+H(t) itself is `markov.ell_cdf_general` on the identity grid
+`GridCdf.identity(2)`, which is the uniform root law; this module
+provides the density h(t) and the moments.
+
 The K-cut generalization (uniform cuts) contracts by E[ell] = 2/(K+2).
 """
 
@@ -25,7 +29,6 @@ __all__ = [
     "conditional_expected_length",
     "expected_contraction",
     "contraction_variance",
-    "ell_cdf",
     "ell_pdf",
     "expected_interval_length",
     "ksection_conditional",
@@ -65,26 +68,6 @@ def contraction_variance(cut_dist: Distribution) -> float:
     """Var[ell] = q (1 - 4 q) for a uniform root; nonnegative since q <= 1/4."""
     q = cut_concavity(cut_dist)
     return q * (1.0 - 4.0 * q)
-
-
-def ell_cdf(cut_dist: Distribution, t: float) -> float:
-    """H(t) = P[ell <= t] for a uniform root.
-
-    Computed from the Stieltjes form, which also covers atom-bearing cut
-    laws (where the density form below does not apply).
-    """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must be in [0, 1], got {t}")
-    if t == 0.0:
-        return 0.0
-    if t == 1.0:
-        return 1.0
-
-    def integrand(c: np.ndarray) -> np.ndarray:
-        return np.where(c <= t, c, 0.0) + np.where(c >= 1.0 - t, 1.0 - c, 0.0)
-
-    return cut_dist.stieltjes_expectation(integrand, breakpoints=(t, 1.0 - t))
 
 
 def ell_pdf(cut_dist: Distribution, t: float) -> float:

@@ -126,6 +126,16 @@ class TestBisectionRun:
         for rec in trace.records:
             assert rec.a <= 0.3 <= rec.b
 
+    def test_sign_test_ignores_the_scale_of_f(self):
+        # fa * fc overflows to inf at 1e200 and underflows to 0 at 1e-200.
+        traces = [
+            bisection_run(lambda x, s=scale: s * (x - 0.3), 0.0, 1.0, Uniform(),
+                          1e-10, 200, substream(8, "scale"))
+            for scale in (1e200, 1e-200, 1.0)
+        ]
+        assert traces[0].records == traces[1].records == traces[2].records
+        assert traces[0].terminated_by == "tolerance"
+
     def test_cut_on_root_stops_exactly(self):
         trace = bisection_run(lambda x: x - 0.5, 0.0, 1.0, PointMass(0.5),
                               1e-8, 100, substream(8, "exact"))

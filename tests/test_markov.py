@@ -17,6 +17,8 @@ from stochbisect.markov import (
 )
 
 N = 2049
+ALL_KINDS = [Uniform(), Beta(2, 2), Beta(0.5, 2), Beta(2, 0.5), Beta(0.5, 0.5), Bates(20),
+             PointMass(0.5), Empirical([0.2, 0.5, 0.7])]
 
 
 def cubic_grid(n=N):
@@ -173,6 +175,12 @@ class TestIterateOperator:
         with pytest.raises(EndpointAtomError):
             iterate_operator(GridCdf.identity(257), PointMass(0.0), 1)
 
+    @pytest.mark.parametrize("samples", [[0, 0, 1], [0, 1, 1, 1, 1, 1, 1]])
+    def test_endpoint_only_empirical_rejected(self, samples):
+        # q rounds to -2.8e-17 and +1.4e-17 here, so the test needs a tolerance.
+        with pytest.raises(EndpointAtomError):
+            iterate_operator(GridCdf.identity(257), Empirical(samples), 1)
+
     def test_beta_05_2_empirical_rate(self):
         grid = GridCdf.from_distribution(Beta(0.5, 2), N)
         iterates = iterate_operator(grid, Uniform(), 30)
@@ -183,19 +191,11 @@ class TestIterateOperator:
 
 
 class TestEllCdfGeneral:
-    def test_identity_reduces_to_uniform_root_law(self):
-        ident = GridCdf.identity(N)
-        ts = np.linspace(0, 1, 33)
-        for cut in (Uniform(), Beta(2, 2), PointMass(0.4)):
-            got = np.asarray(ell_cdf_general(ident, cut, ts))
-            ref = np.array([theory.ell_cdf(cut, float(t)) for t in ts])
-            assert np.max(np.abs(got - ref)) < 1e-8
-
     def test_endpoints(self):
-        grid = cubic_grid(513)
-        for cut in (Uniform(), Beta(2, 2)):
-            assert ell_cdf_general(grid, cut, 0.0) == pytest.approx(0.0, abs=1e-12)
-            assert ell_cdf_general(grid, cut, 1.0) == pytest.approx(1.0, abs=1e-12)
+        for grid in (cubic_grid(513), GridCdf.identity(2)):
+            for cut in ALL_KINDS:
+                assert ell_cdf_general(grid, cut, 0.0) == pytest.approx(0.0, abs=1e-12)
+                assert ell_cdf_general(grid, cut, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_sup_bound_against_uniform_root_law(self):
         # ||H_n - H|| <= 2 ||G_n - t||

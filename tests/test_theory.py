@@ -15,10 +15,16 @@ from stochbisect.distributions import (
     Uniform,
 )
 from stochbisect.engine import population_step
+from stochbisect.markov import GridCdf, ell_cdf_general
 from stochbisect.seeding import substream
 
 DENSITY_KINDS = [Uniform(), Beta(2, 2), Beta(0.5, 2), Beta(2, 0.5), Bates(20)]
 ALL_KINDS = DENSITY_KINDS + [PointMass(0.5), Empirical([0.2, 0.5, 0.7])]
+
+
+def ell_cdf(dist, t):
+    """H(t) for a uniform root: the root-law CDF on the identity grid."""
+    return ell_cdf_general(GridCdf.identity(2), dist, t)
 
 
 class TestConditionalExpectedLength:
@@ -106,19 +112,19 @@ class TestContractionMoments:
 class TestEllDistribution:
     def test_uniform_cdf_is_t_squared(self):
         for t in (0.0, 0.25, 0.5, 0.9, 1.0):
-            assert theory.ell_cdf(Uniform(), t) == pytest.approx(t * t, abs=1e-10)
+            assert ell_cdf(Uniform(), t) == pytest.approx(t * t, abs=1e-10)
 
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.spec)
     def test_cdf_endpoints_and_monotone(self, dist):
-        assert theory.ell_cdf(dist, 0.0) == 0.0
-        assert theory.ell_cdf(dist, 1.0) == 1.0
+        assert ell_cdf(dist, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert ell_cdf(dist, 1.0) == pytest.approx(1.0, abs=1e-12)
         ts = np.linspace(0, 1, 41)
-        values = [theory.ell_cdf(dist, float(t)) for t in ts]
+        values = [ell_cdf(dist, float(t)) for t in ts]
         assert all(a <= b + 1e-10 for a, b in zip(values, values[1:]))
 
     def test_point_mass_step_law(self):
-        assert theory.ell_cdf(PointMass(0.5), 0.6) == pytest.approx(1.0, abs=1e-12)
-        assert theory.ell_cdf(PointMass(0.5), 0.4) == pytest.approx(0.0, abs=1e-12)
+        assert ell_cdf(PointMass(0.5), 0.6) == pytest.approx(1.0, abs=1e-12)
+        assert ell_cdf(PointMass(0.5), 0.4) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_pdf(self):
         assert theory.ell_pdf(Uniform(), 0.5) == pytest.approx(1.0, abs=1e-12)
@@ -154,7 +160,7 @@ class TestEllDistribution:
         for a, b in [(0.1, 0.4), (0.3, 0.9)]:
             mass, err = integrate.quad(lambda t: theory.ell_pdf(dist, t), a, b, limit=200)
             assert err < 1e-7
-            assert theory.ell_cdf(dist, b) - theory.ell_cdf(dist, a) == pytest.approx(
+            assert ell_cdf(dist, b) - ell_cdf(dist, a) == pytest.approx(
                 mass, abs=1e-8)
 
 
@@ -163,7 +169,7 @@ class TestCrossValidationInvariants:
     def test_contraction_equals_mean_of_ell_law(self, dist):
         # E[ell] = int t dH(t) = 1 - int H(t) dt by parts.
         integral, err = integrate.quad(
-            lambda t: theory.ell_cdf(dist, t), 0.0, 1.0, limit=200)
+            lambda t: ell_cdf(dist, t), 0.0, 1.0, limit=200)
         assert err < 1e-9
         assert 1.0 - integral == pytest.approx(
             theory.expected_contraction(dist), abs=1e-8)

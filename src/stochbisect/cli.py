@@ -25,7 +25,7 @@ import time
 
 from .distributions import DomainError, NoDensityError
 from .engine import BracketError, CutRedrawError
-from .markov import BandHypothesisError, EndpointAtomError
+from .markov import EndpointAtomError
 from .stats import DegenerateSampleError
 from . import experiments
 from .experiments import report_to_csv, report_to_json
@@ -36,7 +36,6 @@ _NUMERICAL_ERRORS = (
     DomainError,
     NoDensityError,
     EndpointAtomError,
-    BandHypothesisError,
     DegenerateSampleError,
     ArithmeticError,
 )

@@ -1,11 +1,15 @@
 """Stochastic bisection algorithms.
 
-Two step rules live here: the random cut, which keeps [0, c] when c >= r
-and [c, 1] otherwise and renormalizes the root by the skewed dyadic map,
-and the K-cut multisection step. `bisection_run` applies the random cut
-to a bracket of a user-supplied f; vectorized population steppers evolve
-many independent chains at once for the statistical experiments, and
-`skewed_dyadic` is the scalar reference for one cut.
+One step rule lives here, the K-cut step: draw K cuts in (0, 1) and keep
+the gap [lo, hi] between the largest cut below the root r and the
+smallest cut at or above it (0 and 1 when there is none), then rescale r
+to (r - lo) / (hi - lo). A tie c == r therefore keeps [lo, c]. With one
+cut this is random bisection, and `skewed_dyadic` is its scalar
+reference. `population_step` is the one vectorized kernel: it advances
+many independent chains, with cuts from any law, for the statistical
+experiments. `multisection_step` is the scalar step with uniform cuts,
+and `bisection_run` applies the one-cut rule to a bracket of a
+user-supplied f.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution, DomainError
+from .distributions import Distribution, DomainError, Uniform
 
 __all__ = [
     "BracketError",
@@ -29,10 +33,10 @@ __all__ = [
     "bisection_run",
     "multisection_step",
     "population_step",
-    "multisection_population_step",
 ]
 
 _MAX_REDRAWS = 100
+_UNIFORM = Uniform()
 
 TERMINATED_TOLERANCE = "tolerance"
 TERMINATED_MAX_ITERATIONS = "max_iterations"
@@ -88,6 +92,12 @@ def draw_cut(cut_dist: Distribution, rng: np.random.Generator) -> float:
 
 def _draw_cuts(cut_dist: Distribution, rng: np.random.Generator, size: int) -> np.ndarray:
     cuts = np.asarray(cut_dist.sample(rng, size=size), dtype=float)
+    return _redraw_endpoints(cuts, cut_dist, rng)
+
+
+def _redraw_endpoints(
+    cuts: np.ndarray, cut_dist: Distribution, rng: np.random.Generator
+) -> np.ndarray:
     for _ in range(_MAX_REDRAWS):
         bad = (cuts <= 0.0) | (cuts >= 1.0)
         if not bad.any():
@@ -196,57 +206,41 @@ def multisection_step(
 ) -> tuple[float, float]:
     """One K-cut step with uniform cuts: returns (ell, next root).
 
-    Draws k i.i.d. uniform cuts, brackets r between consecutive order
-    statistics (with sentinels 0 and 1), and rescales r to the kept gap.
+    Draws k i.i.d. uniform cuts, keeps the gap between the largest cut
+    below r and the smallest at or above it (with sentinels 0 and 1), and
+    rescales r to that gap. It takes the draws `population_step` gives a
+    single chain, so the two agree bit for bit.
     """
     if k < 1:
         raise ValueError(f"need at least one cut, got k={k}")
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"r must lie in [0, 1], got {r}")
-    cuts = np.sort(rng.uniform(size=k))
-    j = int(np.searchsorted(cuts, r, side="right"))
-    lo = 0.0 if j == 0 else float(cuts[j - 1])
-    hi = 1.0 if j == k else float(cuts[j])  # cuts < 1, so r == 1 keeps the last gap
+    cuts = rng.uniform(size=k)
+    if not cuts.all():  # uniform draws lie in [0, 1): redraw a cut at 0
+        cuts = _redraw_endpoints(cuts, _UNIFORM, rng)
+    cuts = cuts.tolist()
+    lo = max((c for c in cuts if c < r), default=0.0)
+    hi = min((c for c in cuts if c >= r), default=1.0)
     ell = hi - lo
     return ell, (r - lo) / ell
 
 
 def population_step(
-    roots: np.ndarray, cut_dist: Distribution, rng: np.random.Generator
+    roots: np.ndarray, cut_dist: Distribution, rng: np.random.Generator, k: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance M independent chains one iteration (one cut each).
+    """Advance M independent chains one K-cut iteration: (ells, new_roots).
 
-    Returns (ells, new_roots). Ties c == r take the c >= r branch, matching
-    `skewed_dyadic`.
+    The k * M cuts are drawn as k rows of M, so chain i takes draws i,
+    M + i, ...; a single chain gets the scalar step's draw order. With
+    k = 1 the arithmetic is `skewed_dyadic`'s, tie included.
     """
-    roots = np.asarray(roots, dtype=float)
-    cuts = _draw_cuts(cut_dist, rng, roots.size).reshape(roots.shape)
-    keep_low = cuts >= roots
-    ells = np.where(keep_low, cuts, 1.0 - cuts)
-    # r / c overflows only for a tiny cut c < r, where the other branch is kept.
-    with np.errstate(over="ignore", invalid="ignore"):
-        low = roots / cuts
-    with np.errstate(invalid="ignore"):
-        new_roots = np.where(keep_low, low, (roots - cuts) / (1.0 - cuts))
-    return ells, new_roots
-
-
-def multisection_population_step(
-    roots: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance M independent chains one K-cut iteration with uniform cuts."""
     if k < 1:
         raise ValueError(f"need at least one cut, got k={k}")
     roots = np.asarray(roots, dtype=float)
-    m = roots.size
-    cuts = np.sort(rng.uniform(size=(m, k)), axis=1)
-    padded = np.empty((m, k + 2))
-    padded[:, 0] = 0.0
-    padded[:, 1:-1] = cuts
-    padded[:, -1] = 1.0
-    j = np.sum(cuts <= roots[:, None], axis=1)  # cuts < 1, so r == 1 gives j == k
-    lo = np.take_along_axis(padded, j[:, None], axis=1)[:, 0]
-    hi = np.take_along_axis(padded, (j + 1)[:, None], axis=1)[:, 0]
+    cuts = _draw_cuts(cut_dist, rng, k * roots.size).reshape(k, *roots.shape)
+    below = cuts < roots
+    lo = np.where(below, cuts, 0.0).max(axis=0)
+    hi = np.where(below, 1.0, cuts).min(axis=0)
     ells = hi - lo
     return ells, (roots - lo) / ells

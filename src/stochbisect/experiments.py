@@ -192,6 +192,12 @@ def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(report.to_payload(), indent=2) + "\n"
 
 
+# Payload keys of a cell row's columns after `cell, label, kind`; a scalar
+# cell writes its value in the "point" column and leaves the interval's
+# other columns empty.
+_CELL_COLUMNS = ("point", "lower", "upper", "level", "method", "theory", "theory_inside")
+
+
 def report_to_csv(report: ExperimentReport) -> str:
     """Sectioned CSV: config rows, cell rows, then named series blocks."""
     payload = report.to_payload()
@@ -203,15 +209,10 @@ def report_to_csv(report: ExperimentReport) -> str:
     for key, value in payload["config"].items():
         writer.writerow(["config", key, _format(value)])
     for cell in payload["cells"]:
-        if "value" in cell:
-            row = ["cell", cell["label"], "scalar", _format(cell["value"]), "", "", "", ""]
-        else:
-            row = ["cell", cell["label"], "interval", _format(cell["point"]),
-                   _format(cell["lower"]), _format(cell["upper"]),
-                   _format(cell["level"]), cell["method"]]
-        row.append(_format(cell["theory"]) if "theory" in cell else "")
-        row.append(_format(cell["theory_inside"]) if "theory_inside" in cell else "")
-        writer.writerow(row)
+        kind = "scalar" if "value" in cell else "interval"
+        fields = {"point": cell.get("value"), **cell}
+        writer.writerow(["cell", cell["label"], kind, *(
+            _format(fields[key]) if key in fields else "" for key in _CELL_COLUMNS)])
     for note in payload["notes"]:
         writer.writerow(["note", note])
     for name, block in payload["series"].items():
@@ -235,21 +236,11 @@ def parse_report_csv(text: str) -> dict:
         elif tag == "config":
             payload["config"][row[1]] = _parse_scalar(row[2])
         elif tag == "cell":
-            label, kind = row[1], row[2]
-            entry: dict = {"label": label}
-            if kind == "scalar":
-                entry["value"] = _parse_scalar(row[3])
-            else:
-                entry["point"] = float(row[3])
-                entry["lower"] = float(row[4])
-                entry["upper"] = float(row[5])
-                entry["level"] = float(row[6])
-                entry["method"] = row[7]
-            if row[8]:
-                entry["theory"] = float(row[8])
-            if row[9]:
-                entry["theory_inside"] = row[9] == "true"
-            payload["cells"].append(entry)
+            fields = {key: _parse_scalar(value)
+                      for key, value in zip(_CELL_COLUMNS, row[3:]) if value}
+            if row[2] == "scalar":
+                fields = {"value": fields.pop("point"), **fields}
+            payload["cells"].append({"label": row[1], **fields})
         elif tag == "note":
             payload["notes"].append(row[1])
         elif tag == "series":
@@ -633,7 +624,7 @@ def run_operator_experiment(
     within = True
     for step, iterate in enumerate(iterates, start=1):
         distance = iterate.sup_distance_to_identity()
-        bound = rate_bound(start_cdf, cut_dist, DELTA, eps, step)
+        bound = rate_bound(start_cdf, cut_dist, DELTA, step)
         mean_h, var_h = hn_mean_var(iterate, cut_dist)
         within = within and distance <= bound
         rows.append((step, distance, bound, mean_h, var_h))

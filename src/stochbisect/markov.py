@@ -34,7 +34,6 @@ from .theory import cut_concavity, expected_contraction
 
 __all__ = [
     "EndpointAtomError",
-    "BandHypothesisError",
     "GridCdf",
     "apply_operator",
     "iterate_operator",
@@ -52,10 +51,6 @@ _ENDPOINT_TOL = 1e-12
 
 class EndpointAtomError(ValueError):
     """Starting CDF has mass at 0 or 1, or the cut law has all its mass there."""
-
-
-class BandHypothesisError(ValueError):
-    """The measured band deviation exceeds the eps supplied to the bound."""
 
 
 @dataclass(frozen=True)
@@ -245,27 +240,17 @@ def band_epsilon(grid_cdf: GridCdf, delta: float) -> float:
     return float(np.max(np.abs(grid_cdf.values[band] - nodes[band])))
 
 
-def rate_bound(
-    grid_cdf: GridCdf, cut_dist: Distribution, delta: float, eps: float, k: int
-) -> float:
+def rate_bound(grid_cdf: GridCdf, cut_dist: Distribution, delta: float, k: int) -> float:
     """Sup-norm bound eps + ||G0 - t|| (1 - 2q)^k / (4 delta (1 - delta)).
 
-    q is the cut law's E[c(1-c)]. The hypothesis |G0(t) - t| <= eps on the
-    bands [0, delta) union (1 - delta, 1] is checked on the grid; pass
-    `band_epsilon(G0, delta)` for the tightest admissible eps. Since
-    ||H_k - H|| <= 2 ||G_k - t||, twice the bound also bounds
+    q is the cut law's E[c(1-c)], and eps is `band_epsilon(G0, delta)`,
+    the largest |G0(t) - t| on the bands [0, delta) union (1 - delta, 1].
+    Since ||H_k - H|| <= 2 ||G_k - t||, twice the bound also bounds
     |mean(H_k) - mean(H)|.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if eps < 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    measured = band_epsilon(grid_cdf, delta)
-    if measured > eps:
-        raise BandHypothesisError(
-            f"band deviation {measured:.3e} exceeds eps={eps:.3e} on "
-            f"[0,{delta}) u ({1 - delta},1]"
-        )
+    eps = band_epsilon(grid_cdf, delta)
     rate = expected_contraction(cut_dist)
     sup = grid_cdf.sup_distance_to_identity()
     return eps + sup * rate**k / (delta * (1.0 - delta)) / 4.0

@@ -20,7 +20,6 @@ from stochbisect.experiments import DEFAULT_SEED, report_to_csv, report_to_json
 from stochbisect.markov import (
     GridCdf,
     apply_operator,
-    band_epsilon,
     ell_cdf_general,
     iterate_operator,
     rate_bound,
@@ -192,11 +191,10 @@ def test_criterion_8_operator_fidelity():
 def test_criterion_9_rate_bound(beta012_iterates):
     g0, iterates = beta012_iterates
     uniform = parse_spec("uniform")
-    eps = band_epsilon(g0, 0.25)
     margins = []
     ok = True
     for k, it in enumerate(iterates, start=1):
-        bound = rate_bound(g0, uniform, 0.25, eps, k)
+        bound = rate_bound(g0, uniform, 0.25, k)
         ok = ok and it.sup_distance_to_identity() <= bound
         margins.append(bound - it.sup_distance_to_identity())
     _criterion(9, "Beta(0.1,2) start: measured sup distance under the analytic bound for k<=30",

@@ -1,9 +1,9 @@
 """The benchmark's span-count contract, replayed inside the test suite.
 
-Every `readme` and `operator` operation in `bench/workloads.py` names the
-number of spans its inputs imply for each traced function it lists, and a
-traced benchmark run fails when a count differs or a command does not
-exit 0. Renaming a runner, dropping a flag the workloads pass (`operator
+Every `readme`, `operator` and `population` operation in
+`bench/workloads.py` names the number of spans its inputs imply for each
+traced function it lists, and a traced benchmark run fails when a count
+differs or a command does not exit 0. Renaming a runner, dropping a flag the workloads pass (`operator
 --seed`, say) or moving work between traced functions therefore breaks
 the benchmark; this test runs one traced pass so that the suite fails
 first. It only imports `bench/`.
@@ -23,7 +23,7 @@ from workloads import WORKLOADS  # noqa: E402
 SEED = 7
 
 
-@pytest.mark.parametrize("workload", ["readme", "operator"])
+@pytest.mark.parametrize("workload", ["readme", "operator", "population"])
 def test_traced_pass_matches_the_span_counts(workload):
     ops = WORKLOADS[workload](SEED)
     runner = worker.Runner(worker.import_package(), ops)

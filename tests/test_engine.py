@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
 
 from stochbisect.distributions import Bates, Beta, DomainError, PointMass, Uniform
 from stochbisect.engine import (
@@ -12,7 +13,6 @@ from stochbisect.engine import (
     NonFiniteValueError,
     bisection_run,
     draw_cut,
-    multisection_population_step,
     multisection_step,
     population_step,
     skewed_dyadic,
@@ -220,35 +220,94 @@ class TestMultisection:
     def test_mean_gap_against_theory(self, k, lo, hi):
         rng = substream(1, "gap", k)
         roots = rng.uniform(size=1_000_000)
-        ells, _ = multisection_population_step(roots, k, rng)
+        ells, _ = population_step(roots, Uniform(), rng, k)
         assert lo <= ells.mean() <= hi
 
+    @pytest.mark.parametrize("a,b,k,expected", [(2, 2, 2, 0.44286), (2, 2, 3, 0.35584),
+                                                (0.5, 2, 2, 0.63786)])
+    def test_mean_gap_for_any_cut_law(self, a, b, k, expected):
+        # A uniform root shares its gap with a second uniform point y unless a
+        # cut falls between them: E[ell] = 2 int_{x<y} (1 - F(y) + F(x))^K dx dy,
+        # integrated over x = s^2, y = t^2 so F's square-root edge is smooth.
+        cdf = stats.beta(a, b).cdf
+        half, _ = integrate.dblquad(
+            lambda t, s: 4.0 * s * t * (1.0 - cdf(t * t) + cdf(s * s)) ** k,
+            0.0, 1.0, lambda s: s, 1.0)
+        assert 2.0 * half == pytest.approx(expected, abs=5e-6)
+        rng = substream(6, "gap-law", f"{a},{b}", k)
+        roots = rng.uniform(size=1_000_000)
+        ells, _ = population_step(roots, Beta(a, b), rng, k)
+        assert abs(ells.mean() - 2.0 * half) < 5.0 * ells.std() / math.sqrt(ells.size)
+
     def test_population_step_matches_scalar(self):
-        k = 3
-        roots = substream(2, "rs").uniform(size=50)
-        pop_ells, pop_roots = multisection_population_step(roots, k, substream(2, "cuts"))
-        rng = substream(2, "cuts")
+        # A single chain of the vectorized kernel takes the scalar step's
+        # draws, so replayed substreams give the same chain bit for bit.
+        for k in (1, 2, 3, 5):
+            for seed in range(20):
+                rng_scalar, rng_pop = (substream(seed, "chain", k) for _ in range(2))
+                r = float(substream(seed, "r0", k).uniform())
+                roots = np.array([r])
+                for _ in range(30):
+                    ell, r = multisection_step(r, k, rng_scalar)
+                    ells, roots = population_step(roots, Uniform(), rng_pop, k)
+                    assert (ells.tolist(), roots.tolist()) == ([ell], [r])
+
+    def test_population_cut_layout(self):
+        # k * M cuts in k rows of M: chain i takes draws i, M + i, ...
+        k, m = 3, 50
+        roots = substream(2, "rs").uniform(size=m)
+        cuts = Uniform().sample(substream(2, "cuts"), size=k * m).reshape(k, m)
+        ells, new_roots = population_step(roots, Uniform(), substream(2, "cuts"), k)
         for i, r in enumerate(roots):
-            cuts = np.sort(rng.uniform(size=k))
-            j = int(np.searchsorted(cuts, r, side="right"))
-            lo = 0.0 if j == 0 else cuts[j - 1]
-            hi = 1.0 if j == k else cuts[j]
-            assert pop_ells[i] == pytest.approx(hi - lo, abs=1e-15)
-            assert pop_roots[i] == pytest.approx((r - lo) / (hi - lo), abs=1e-12)
+            lo = max((c for c in cuts[:, i] if c < r), default=0.0)
+            hi = min((c for c in cuts[:, i] if c >= r), default=1.0)
+            assert ells[i] == hi - lo
+            assert new_roots[i] == (r - lo) / (hi - lo)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("r", [0.0, 1.0])
     def test_endpoint_root_keeps_the_end_gap(self, r, k):
-        # Uniform cuts lie in [0, 1), so r == 0 keeps the first gap and
-        # r == 1 the last; both steppers agree bit for bit on the same cuts.
+        # Cuts lie in (0, 1), so r == 0 keeps the first gap and r == 1 the
+        # last; both steppers agree bit for bit on the same cuts.
         for seed in range(20):
             cuts = np.sort(substream(seed, "end", k).uniform(size=k))
             lo, hi = (0.0, cuts[0]) if r == 0.0 else (cuts[-1], 1.0)
             ell, r_next = multisection_step(r, k, substream(seed, "end", k))
-            ells, roots = multisection_population_step(
-                np.array([r]), k, substream(seed, "end", k))
+            ells, roots = population_step(
+                np.array([r]), Uniform(), substream(seed, "end", k), k)
             assert ell == ells[0] == hi - lo
             assert r_next == roots[0] == (r - lo) / (hi - lo)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_tie_keeps_the_lower_gap(self, k):
+        # A cut equal to the root keeps [lo, c] in all three rules.
+        roots = np.array([0.25, 0.5, 0.75])
+        ells, new_roots = population_step(roots, PointMass(0.5), substream(5, "tie"), k)
+        assert ells.tolist() == [0.5, 0.5, 0.5]
+        assert new_roots.tolist() == [0.5, 1.0, 0.5]
+        assert skewed_dyadic(0.5, 0.5) == 1.0
+        for seed in range(20):
+            cuts = np.sort(substream(seed, "tie", k).uniform(size=k))
+            for j, c in enumerate(cuts):
+                lo = cuts[j - 1] if j else 0.0
+                ell, r_next = multisection_step(float(c), k, substream(seed, "tie", k))
+                assert (ell, r_next) == (c - lo, 1.0)
+
+    def test_zero_root_redraws_a_zero_cut(self):
+        # A cut at exactly 0 would leave r == 0 an empty gap; it is redrawn.
+        class ZeroFirst:
+            def __init__(self):
+                self.draws = [np.array([0.0, 0.5]), np.array([0.25])]
+
+            def uniform(self, size=None):
+                return self.draws.pop(0)
+
+        ell, r_next = multisection_step(0.0, 2, ZeroFirst())
+        assert (ell, r_next) == (0.25, 0.0)
+
+    def test_population_rejects_no_cuts(self):
+        with pytest.raises(ValueError, match="at least one cut"):
+            population_step(np.array([0.5]), Uniform(), substream(3, "k0"), 0)
 
     def test_rejects_no_cuts(self):
         with pytest.raises(ValueError):
@@ -279,7 +338,16 @@ class TestStationarityAndIndependence:
         roots = rng.uniform(size=m)
         crit = ks_critical_value(m, alpha=0.01)
         for _ in range(10):
-            _, roots = multisection_population_step(roots, 3, rng)
+            _, roots = population_step(roots, Uniform(), rng, 3)
+            assert ks_statistic(roots) < crit
+
+    def test_k_cut_stationary_under_beta_cuts(self):
+        m = 10_000
+        rng = substream(4, "statk-beta")
+        roots = rng.uniform(size=m)
+        crit = ks_critical_value(m, alpha=0.01)
+        for _ in range(10):
+            _, roots = population_step(roots, Beta(2, 2), rng, 3)
             assert ks_statistic(roots) < crit
 
     @pytest.mark.parametrize("cut", [Uniform(), Beta(2, 2), Bates(20)],

@@ -5,11 +5,9 @@ from operator_oracle import apply_operator_to_function
 from stochbisect import theory
 from stochbisect.distributions import Bates, Beta, Empirical, PointMass, Uniform
 from stochbisect.markov import (
-    BandHypothesisError,
     EndpointAtomError,
     GridCdf,
     apply_operator,
-    band_epsilon,
     ell_cdf_general,
     hn_mean_var,
     iterate_operator,
@@ -211,35 +209,25 @@ class TestRateBounds:
     def test_identity_bound_is_zero(self):
         ident = GridCdf.identity(257)
         for k in (1, 5, 20):
-            assert rate_bound(ident, Uniform(), 0.25, 0.0, k) == 0.0
+            assert rate_bound(ident, Uniform(), 0.25, k) == 0.0
 
     def test_cubic_bound_dominates_first_step(self):
         grid = cubic_grid()
-        eps = band_epsilon(grid, 0.25)
         d1 = iterate_operator(grid, Uniform(), 1)[0].sup_distance_to_identity()
-        assert rate_bound(grid, Uniform(), 0.25, eps, 1) >= d1
+        assert rate_bound(grid, Uniform(), 0.25, 1) >= d1
 
     def test_beta_01_2_bound_holds_thirty_steps(self):
         grid = GridCdf.from_distribution(Beta(0.1, 2), N)
-        eps = band_epsilon(grid, 0.25)
         for k, it in enumerate(iterate_operator(grid, Uniform(), 30), start=1):
-            assert it.sup_distance_to_identity() <= rate_bound(grid, Uniform(), 0.25, eps, k)
-
-    def test_hypothesis_violation_raises(self):
-        grid = cubic_grid(257)
-        with pytest.raises(BandHypothesisError):
-            rate_bound(grid, Uniform(), 0.25, 1e-6, 1)
-        with pytest.raises(ValueError, match="eps must be nonnegative"):
-            rate_bound(GridCdf.identity(257), Uniform(), 0.25, -1e-9, 1)
+            assert it.sup_distance_to_identity() <= rate_bound(grid, Uniform(), 0.25, k)
 
     def test_mean_bound_holds(self):
         # ||H_k - H|| <= 2 ||G_k - t||, so twice the sup-norm bound holds for the mean.
         grid = GridCdf.from_distribution(Beta(2, 2), 513)
-        eps = band_epsilon(grid, 0.25)
         mu_limit = theory.expected_contraction(Uniform())
         for k, it in enumerate(iterate_operator(grid, Uniform(), 10), start=1):
             mean_k, _ = hn_mean_var(it, Uniform())
-            bound = 2 * rate_bound(grid, Uniform(), 0.25, eps, k)
+            bound = 2 * rate_bound(grid, Uniform(), 0.25, k)
             assert abs(mean_k - mu_limit) <= bound + 1e-6
 
 

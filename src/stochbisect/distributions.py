@@ -86,6 +86,15 @@ def _merge_ties(pts, wts) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.bincount(inverse, weights=wts)
 
 
+def _beta_density(x: np.ndarray, a: float, b: float, log_beta: float) -> np.ndarray:
+    """x^(a-1) (1-x)^(b-1) / B(a, b) elementwise, in x's shape; 0 or inf at an end."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # A shape of exactly 1 has no factor; 0 * log(0) would be NaN.
+        left = (a - 1.0) * np.log(x) if a != 1.0 else np.zeros_like(x)
+        right = (b - 1.0) * np.log1p(-x) if b != 1.0 else 0.0
+        return np.exp(left + right - log_beta)
+
+
 def _beta_half(a: float, b: float, log_beta: float, breakpoints: np.ndarray):
     """Nodes and weights of the Beta(a, b) density on [0, 1/2].
 
@@ -103,9 +112,7 @@ def _beta_half(a: float, b: float, log_beta: float, breakpoints: np.ndarray):
         x = u ** (1.0 / a)
         return x, wu * np.exp((b - 1.0) * np.log1p(-x) - log_beta) / a
     x, wx = _gauss_measure(0.5, breakpoints, graded=a > 1.0 and a != round(a))
-    with np.errstate(divide="ignore"):  # a node at 0 is possible, under a subnormal edge
-        left = (a - 1.0) * np.log(x) if a != 1.0 else 0.0  # 0 * log(0) would be NaN
-    return x, wx * np.exp(left + (b - 1.0) * np.log1p(-x) - log_beta)
+    return x, wx * _beta_density(x, a, b, log_beta)
 
 
 class Distribution(ABC):
@@ -227,15 +234,7 @@ class Beta(Distribution):
         return mu, var
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # A shape of exactly 1 has no factor; 0 * log(0) would be NaN.
-            left = (self.a - 1.0) * np.log(x) if self.a != 1.0 else 0.0
-            right = (self.b - 1.0) * np.log1p(-x) if self.b != 1.0 else 0.0
-            out = np.exp(left + right - self._log_beta)
-        # 0 * log(0) endpoints: the density limit is 0 when the shape > 1.
-        out = np.where((x == 0.0) & (self.a > 1.0), 0.0, out)
-        out = np.where((x == 1.0) & (self.b > 1.0), 0.0, out)
+        out = _beta_density(np.asarray(x, dtype=float), self.a, self.b, self._log_beta)
         return out if out.ndim else float(out)
 
     def quadrature(self, breakpoints=()):

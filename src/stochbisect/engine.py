@@ -233,11 +233,16 @@ def population_step(
 
     The k * M cuts are drawn as k rows of M, so chain i takes draws i,
     M + i, ...; a single chain gets the scalar step's draw order. With
-    k = 1 the arithmetic is `skewed_dyadic`'s, tie included.
+    k = 1 the arithmetic is `skewed_dyadic`'s, tie included. A root
+    outside [0, 1], or NaN, raises `DomainError`.
     """
     if k < 1:
         raise ValueError(f"need at least one cut, got k={k}")
     roots = np.asarray(roots, dtype=float)
+    # The initial values let an empty population through; NaN fails both tests.
+    least, greatest = roots.min(initial=0.0), roots.max(initial=1.0)
+    if not (least >= 0.0 and greatest <= 1.0):
+        raise DomainError(f"roots must lie in [0, 1], got min {least}, max {greatest}")
     cuts = _draw_cuts(cut_dist, rng, k * roots.size).reshape(k, *roots.shape)
     below = cuts < roots
     lo = np.where(below, cuts, 0.0).max(axis=0)

@@ -7,10 +7,12 @@ in any order or in parallel. Results come back as an `ExperimentReport`
 (config echo, labelled cells with theory references, named data series)
 that serializes to CSV or JSON and parses back losslessly.
 
-The statistical conventions are module constants, not runner parameters:
-95% intervals from 2000 bootstrap resamples, KS tests at level 0.01, a
-band of width 0.25 for the operator's rate bound and K-section rates up
-to K = 6. Each report echoes the ones it used in its config.
+The statistical conventions are constants, not runner parameters, each
+defined by the module that computes with it: `stats.LEVEL` (95% intervals),
+`stats.RESAMPLES` (2000 bootstrap resamples), `stats.KS_ALPHA` (KS tests
+at level 0.01), `markov.DELTA` (the rate bound's band width 0.25), and
+here `K_MAX` (K-section rates up to K = 6). Each report echoes the ones it
+used in its config.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .engine import (
     multisection_step,
     population_step,
 )
-from .markov import GridCdf, band_epsilon, hn_mean_var, iterate_operator, rate_bound
+from .markov import DELTA, GridCdf, band_epsilon, hn_mean_var, iterate_operator, rate_bound
 from .seeding import substream
 from .stats import IntervalEstimate
 
@@ -54,10 +56,6 @@ __all__ = [
 
 DEFAULT_SEED = 20250811
 
-LEVEL = 0.95  # confidence level of every interval
-RESAMPLES = 2000  # bootstrap resamples per interval
-ALPHA = 0.01  # KS test level
-DELTA = 0.25  # band width of the operator's rate bound
 K_MAX = 6  # largest K in the theory report's K-section table
 
 # Iterations deterministic bisection needs on a unit interval: smallest n
@@ -266,14 +264,9 @@ def _scaling_cells(
     seed: int,
     tag: str,
 ) -> list[Cell]:
-    mean_ci = stats.bootstrap_mean_ci(
-        ells.ravel(), level=LEVEL, resamples=RESAMPLES,
-        rng=substream(seed, tag, "bootstrap-ell"),
-    )
+    mean_ci = stats.bootstrap_mean_ci(ells.ravel(), rng=substream(seed, tag, "bootstrap-ell"))
     length_ci = stats.bootstrap_mean_ci(
-        final_lengths, level=LEVEL, resamples=RESAMPLES,
-        rng=substream(seed, tag, "bootstrap-length"),
-    )
+        final_lengths, rng=substream(seed, tag, "bootstrap-length"))
     geo_ci = _interval_after_root(length_ci, 1.0 / iters)
     return [
         Cell("mean_scaling_factor", estimate=mean_ci, theory_reference=reference),
@@ -320,7 +313,7 @@ def run_contraction_experiment(
     report = ExperimentReport(
         "contraction",
         {"cut": cut_dist.spec, "runs": runs, "iters": iters,
-         "seed": seed, "level": LEVEL, "resamples": RESAMPLES},
+         "seed": seed, "level": stats.LEVEL, "resamples": stats.RESAMPLES},
         _scaling_cells(ells.ravel(), final_lengths, iters, reference,
                        seed, "contraction"),
     )
@@ -357,7 +350,7 @@ def run_ksection_experiment(
     report = ExperimentReport(
         "ksection",
         {"k": k, "runs": runs, "iters": iters, "seed": seed,
-         "level": LEVEL, "resamples": RESAMPLES},
+         "level": stats.LEVEL, "resamples": stats.RESAMPLES},
         _scaling_cells(ells.ravel(), final_lengths, iters, reference,
                        seed, "ksection"),
     )
@@ -398,21 +391,19 @@ def run_fixed_root_experiment(
             f"{capped} of {runs} runs hit max_iter = {max_iter} before the bracket "
             f"narrowed below tol = {tol:g}")
 
-    mean_ci = stats.bootstrap_mean_ci(
-        counts, level=LEVEL, resamples=RESAMPLES,
-        rng=substream(seed, "fixed-root", "bootstrap"),
-    )
+    mean_ci = stats.bootstrap_mean_ci(counts, rng=substream(seed, "fixed-root", "bootstrap"))
     lucky = int(np.sum(counts <= baseline))
     report = ExperimentReport(
         "fixed-root",
         {"r": r, "cut": cut_dist.spec, "tol": tol, "runs": runs,
-         "seed": seed, "max_iter": max_iter, "level": LEVEL, "resamples": RESAMPLES},
+         "seed": seed, "max_iter": max_iter,
+         "level": stats.LEVEL, "resamples": stats.RESAMPLES},
         [
             Cell("mean_iterations", estimate=mean_ci),
             Cell("min_iterations", value=float(counts.min())),
             Cell("max_iterations", value=float(counts.max())),
             Cell("deterministic_iterations", value=float(baseline)),
-            Cell("lucky_run_probability", estimate=stats.wilson_ci(lucky, runs, LEVEL)),
+            Cell("lucky_run_probability", estimate=stats.wilson_ci(lucky, runs)),
         ],
     )
     return report
@@ -431,7 +422,8 @@ def run_stationarity_experiment(
     """Distribution of the normalized root after many iterations.
 
     Evolves `runs` independent chains, then emits Q-Q data of the final
-    normalized roots against the uniform law and a KS test at level `ALPHA`.
+    normalized roots against the uniform law and a KS test at level
+    `stats.KS_ALPHA`.
     Orbits collapsing onto the endpoints are flagged as non-convergent
     rather than raising.
     """
@@ -442,7 +434,7 @@ def run_stationarity_experiment(
 
     rng = substream(seed, "stationarity")
     roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
-    critical = stats.ks_critical_value(runs, ALPHA)
+    critical = stats.ks_critical_value(runs)
     ks_rows = []
     for n in range(1, iters + 1):
         _, roots = population_step(roots, cut_dist, rng)
@@ -455,7 +447,7 @@ def run_stationarity_experiment(
     report = ExperimentReport(
         "stationarity",
         {"root": root_law.spec, "cut": cut_dist.spec, "runs": runs,
-         "iters": iters, "seed": seed, "alpha": ALPHA},
+         "iters": iters, "seed": seed, "alpha": stats.KS_ALPHA},
         [
             Cell("ks_statistic", value=ks),
             Cell("ks_critical_value", value=critical),
@@ -609,22 +601,20 @@ def run_operator_experiment(
     """Iterate the root-law operator and track sup-norm decay vs its bound.
 
     Emits one row per iteration: sup-norm distance to the identity, the
-    theoretical bound at that k for the band width `DELTA`, and the
+    theoretical bound at that k for the band width `markov.DELTA`, and the
     mean/variance of the induced scaling-factor law H_k. The report echoes
     `seed`, which nothing here draws from: the operator is deterministic.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
     cut_dist = parse_spec(dist)
     start_cdf = _grid_from_spec(g0, grid)
-    eps = band_epsilon(start_cdf, DELTA)
+    eps = band_epsilon(start_cdf)
 
     iterates = iterate_operator(start_cdf, cut_dist, k)
     rows = []
     within = True
     for step, iterate in enumerate(iterates, start=1):
         distance = iterate.sup_distance_to_identity()
-        bound = rate_bound(start_cdf, cut_dist, DELTA, step)
+        bound = rate_bound(start_cdf, cut_dist, step)
         mean_h, var_h = hn_mean_var(iterate, cut_dist)
         within = within and distance <= bound
         rows.append((step, distance, bound, mean_h, var_h))

@@ -19,6 +19,9 @@ or by quadrature, depending on the cut law:
   reflected CDF R(y) = 1 - G(1 - y) turns the upper branch into
   G(t + (1-t) c) = 1 - R((1-t)(1-c)), and sum_m w_m G(c_m) = S[G](1), so
   T G(t) = S[G](t) - S[G](1) + sum_m w_m - S[R](1 - t).
+
+The rate bound watches the bands [0, DELTA) and (1 - DELTA, 1] with the
+fixed band width `DELTA` = 1/4.
 """
 
 from __future__ import annotations
@@ -45,12 +48,14 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+DELTA = 0.25  # band width of the rate bound
+
 _REPAIR_LIMIT = 1e-9
 _ENDPOINT_TOL = 1e-12
 
 
 class EndpointAtomError(ValueError):
-    """Starting CDF has mass at 0 or 1, or the cut law has all its mass there."""
+    """Starting CDF has mass at 0, or the cut law has all its mass at 0 and 1."""
 
 
 @dataclass(frozen=True)
@@ -177,17 +182,14 @@ def iterate_operator(
 ) -> list[GridCdf]:
     """[T G, T^2 G, ..., T^k G].
 
-    Requires G(0) = 0 and G(1) = 1 (no endpoint atoms) and a cut law with
-    q = E[c(1-c)] > 0, that is, one not carried by the endpoints 0 and 1;
-    either obstruction makes T fail to converge to the uniform law.
+    Requires G(0) = 0 (no atom at 0; `GridCdf` pins G(1) = 1) and a cut
+    law with q = E[c(1-c)] > 0, that is, one not carried by the endpoints
+    0 and 1; either obstruction makes T fail to converge to the uniform law.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if grid_cdf.values[0] > _ENDPOINT_TOL or grid_cdf.values[-1] < 1.0 - _ENDPOINT_TOL:
-        raise EndpointAtomError(
-            f"starting CDF has endpoint mass: G(0)={grid_cdf.values[0]!r}, "
-            f"G(1)={grid_cdf.values[-1]!r}"
-        )
+    if grid_cdf.values[0] > _ENDPOINT_TOL:
+        raise EndpointAtomError(f"starting CDF has mass at 0: G(0)={grid_cdf.values[0]!r}")
     if cut_concavity(cut_dist) <= _ENDPOINT_TOL:
         raise EndpointAtomError("cuts almost surely at an endpoint never contract")
     iterates = []
@@ -231,29 +233,27 @@ def ell_cdf_general(grid_cdf: GridCdf, cut_dist: Distribution, t) -> np.ndarray 
     return float(out[0]) if scalar else out
 
 
-def band_epsilon(grid_cdf: GridCdf, delta: float) -> float:
-    """Max |G(t) - t| over grid nodes in [0, delta) union (1 - delta, 1]."""
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must be in (0, 1/2), got {delta}")
+def band_epsilon(grid_cdf: GridCdf) -> float:
+    """Max |G(t) - t| over grid nodes in [0, DELTA) union (1 - DELTA, 1]."""
     nodes = grid_cdf.nodes
-    band = (nodes < delta) | (nodes > 1.0 - delta)
+    band = (nodes < DELTA) | (nodes > 1.0 - DELTA)
     return float(np.max(np.abs(grid_cdf.values[band] - nodes[band])))
 
 
-def rate_bound(grid_cdf: GridCdf, cut_dist: Distribution, delta: float, k: int) -> float:
-    """Sup-norm bound eps + ||G0 - t|| (1 - 2q)^k / (4 delta (1 - delta)).
+def rate_bound(grid_cdf: GridCdf, cut_dist: Distribution, k: int) -> float:
+    """Sup-norm bound eps + ||G0 - t|| (1 - 2q)^k / (4 DELTA (1 - DELTA)).
 
-    q is the cut law's E[c(1-c)], and eps is `band_epsilon(G0, delta)`,
-    the largest |G0(t) - t| on the bands [0, delta) union (1 - delta, 1].
+    q is the cut law's E[c(1-c)], and eps is `band_epsilon(G0)`, the
+    largest |G0(t) - t| on the bands [0, DELTA) union (1 - DELTA, 1].
     Since ||H_k - H|| <= 2 ||G_k - t||, twice the bound also bounds
     |mean(H_k) - mean(H)|.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    eps = band_epsilon(grid_cdf, delta)
+    eps = band_epsilon(grid_cdf)
     rate = expected_contraction(cut_dist)
     sup = grid_cdf.sup_distance_to_identity()
-    return eps + sup * rate**k / (delta * (1.0 - delta)) / 4.0
+    return eps + sup * rate**k / (DELTA * (1.0 - DELTA)) / 4.0
 
 
 def hn_mean_var(grid_cdf: GridCdf, cut_dist: Distribution) -> tuple[float, float]:

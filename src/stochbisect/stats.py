@@ -3,6 +3,10 @@
 Percentile-bootstrap and Wilson confidence intervals, the exact one-sample
 Kolmogorov-Smirnov statistic against the uniform law, log-linear fits for
 exponential decay, Pearson correlation matrices, and Q-Q plotting data.
+
+The statistical conventions are this module's constants: every interval
+has level `LEVEL` (0.95), the bootstrap draws `RESAMPLES` (2000) resampled
+means unless told otherwise, and the KS test has level `KS_ALPHA` (0.01).
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ __all__ = [
 BOOTSTRAP_PERCENTILE = "bootstrap_percentile"
 WILSON = "wilson"
 
-_CHUNK_ELEMENTS = 1 << 20  # caps each resample index matrix at ~8 MB
+LEVEL = 0.95  # confidence level of every interval
+RESAMPLES = 2000  # bootstrap resamples per interval
+KS_ALPHA = 0.01  # KS test level
 
-# Asymptotic quantiles of the Kolmogorov distribution, sup|B(t)| tail.
-_KS_COEFFICIENTS = {0.10: 1.224, 0.05: 1.358, 0.02: 1.517, 0.01: 1.628}
+_CHUNK_ELEMENTS = 1 << 20  # caps each resample index matrix at ~8 MB
 
 
 class DegenerateSampleError(ValueError):
@@ -69,12 +74,11 @@ class IntervalEstimate:
 
 def bootstrap_mean_ci(
     samples: Sequence[float],
-    level: float = 0.95,
-    resamples: int = 2000,
+    resamples: int = RESAMPLES,
     *,
     rng: np.random.Generator,
 ) -> IntervalEstimate:
-    """Percentile-bootstrap CI for the mean.
+    """Percentile-bootstrap `LEVEL` CI for the mean.
 
     Resamples with replacement `resamples` times and takes the symmetric
     percentiles of the resampled means. Every draw comes from `rng`.
@@ -82,8 +86,6 @@ def bootstrap_mean_ci(
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DegenerateSampleError("bootstrap needs a nonempty sample")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
     if resamples < 1:
         raise ValueError(f"resamples must be positive, got {resamples}")
 
@@ -96,22 +98,20 @@ def bootstrap_mean_ci(
         stop = min(start + rows, resamples)
         idx = rng.integers(0, n, size=(stop - start, n))
         means[start:stop] = samples[idx].mean(axis=1)
-    alpha = 0.5 * (1.0 - level)
+    alpha = 0.5 * (1.0 - LEVEL)
     lower, upper = np.percentile(means, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     point = float(samples.mean())
     return IntervalEstimate(point, min(float(lower), point), max(float(upper), point),
-                            level, BOOTSTRAP_PERCENTILE)
+                            LEVEL, BOOTSTRAP_PERCENTILE)
 
 
-def wilson_ci(successes: int, trials: int, level: float = 0.95) -> IntervalEstimate:
-    """Wilson score interval for a binomial proportion."""
+def wilson_ci(successes: int, trials: int) -> IntervalEstimate:
+    """`LEVEL` Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + LEVEL))
     p_hat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -123,7 +123,7 @@ def wilson_ci(successes: int, trials: int, level: float = 0.95) -> IntervalEstim
     # (0 or all successes) against last-ulp rounding of center - margin.
     lower = min(max(0.0, center - margin), p_hat)
     upper = max(min(1.0, center + margin), p_hat)
-    return IntervalEstimate(p_hat, lower, upper, level, WILSON)
+    return IntervalEstimate(p_hat, lower, upper, LEVEL, WILSON)
 
 
 def ks_statistic(samples: Sequence[float]) -> float:
@@ -136,15 +136,13 @@ def ks_statistic(samples: Sequence[float]) -> float:
     return float(max(np.max(i / m - samples), np.max(samples - (i - 1) / m)))
 
 
-def ks_critical_value(m: int, alpha: float = 0.01) -> float:
-    """Asymptotic critical value c(alpha) / sqrt(m) of the one-sample KS test."""
-    try:
-        coefficient = _KS_COEFFICIENTS[alpha]
-    except KeyError:
-        raise ValueError(
-            f"alpha must be one of {sorted(_KS_COEFFICIENTS)}, got {alpha}"
-        ) from None
-    return coefficient / math.sqrt(m)
+def ks_critical_value(m: int) -> float:
+    """Asymptotic critical value c(KS_ALPHA) / sqrt(m) of the one-sample KS test.
+
+    c(0.01) = 1.628 is the upper 1% quantile of the Kolmogorov distribution,
+    the law of sup|B(t)| for a Brownian bridge B.
+    """
+    return 1.628 / math.sqrt(m)
 
 
 def fit_exponential_decay(values: Sequence[float]) -> tuple[float, float]:

@@ -194,7 +194,7 @@ def test_criterion_9_rate_bound(beta012_iterates):
     margins = []
     ok = True
     for k, it in enumerate(iterates, start=1):
-        bound = rate_bound(g0, uniform, 0.25, k)
+        bound = rate_bound(g0, uniform, k)
         ok = ok and it.sup_distance_to_identity() <= bound
         margins.append(bound - it.sup_distance_to_identity())
     _criterion(9, "Beta(0.1,2) start: measured sup distance under the analytic bound for k<=30",

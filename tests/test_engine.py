@@ -186,6 +186,14 @@ class TestPopulationStep:
             assert r_next == skewed_dyadic(c, r)
         assert np.all(ells[::5] == cuts[::5]) and np.all(new_roots[::5] == 1.0)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.2, math.nan], ids=["above", "below", "nan"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_root_outside_unit_interval_rejected(self, bad, k):
+        # multisection_step raises DomainError for the same root.
+        roots = np.array([0.3, bad, 0.7])
+        with pytest.raises(DomainError):
+            population_step(roots, Uniform(), substream(9, "domain"), k)
+
     def test_tiny_cut_does_not_warn(self):
         # r / c overflows for the subnormal cut, but only where c < r, whose
         # branch is discarded; the suite turns any warning into an error.
@@ -327,7 +335,7 @@ class TestStationarityAndIndependence:
         m = 10_000
         rng = substream(0, "stat10")
         roots = rng.uniform(size=m)
-        crit = ks_critical_value(m, alpha=0.01)
+        crit = ks_critical_value(m)
         for _ in range(10):
             _, roots = population_step(roots, Beta(2, 2), rng)
             assert ks_statistic(roots) < crit
@@ -336,7 +344,7 @@ class TestStationarityAndIndependence:
         m = 10_000
         rng = substream(1, "statk")
         roots = rng.uniform(size=m)
-        crit = ks_critical_value(m, alpha=0.01)
+        crit = ks_critical_value(m)
         for _ in range(10):
             _, roots = population_step(roots, Uniform(), rng, 3)
             assert ks_statistic(roots) < crit
@@ -345,7 +353,7 @@ class TestStationarityAndIndependence:
         m = 10_000
         rng = substream(4, "statk-beta")
         roots = rng.uniform(size=m)
-        crit = ks_critical_value(m, alpha=0.01)
+        crit = ks_critical_value(m)
         for _ in range(10):
             _, roots = population_step(roots, Beta(2, 2), rng, 3)
             assert ks_statistic(roots) < crit

@@ -384,6 +384,10 @@ class TestCli:
             assert main(argv.split()) == EXIT_CONFIG, argv
             assert "error" in capsys.readouterr().err
 
+    def test_operator_k_below_one_exits_2(self, capsys):
+        assert main(["operator", "--k", "0", "--grid", "65"]) == EXIT_CONFIG
+        assert "k must be positive" in capsys.readouterr().err
+
     def test_fixed_root_rejects_iters(self, capsys):
         # fixed-root runs stop at --tol or --max-iter; there is no --iters.
         with pytest.raises(SystemExit) as exc:

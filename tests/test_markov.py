@@ -209,17 +209,17 @@ class TestRateBounds:
     def test_identity_bound_is_zero(self):
         ident = GridCdf.identity(257)
         for k in (1, 5, 20):
-            assert rate_bound(ident, Uniform(), 0.25, k) == 0.0
+            assert rate_bound(ident, Uniform(), k) == 0.0
 
     def test_cubic_bound_dominates_first_step(self):
         grid = cubic_grid()
         d1 = iterate_operator(grid, Uniform(), 1)[0].sup_distance_to_identity()
-        assert rate_bound(grid, Uniform(), 0.25, 1) >= d1
+        assert rate_bound(grid, Uniform(), 1) >= d1
 
     def test_beta_01_2_bound_holds_thirty_steps(self):
         grid = GridCdf.from_distribution(Beta(0.1, 2), N)
         for k, it in enumerate(iterate_operator(grid, Uniform(), 30), start=1):
-            assert it.sup_distance_to_identity() <= rate_bound(grid, Uniform(), 0.25, k)
+            assert it.sup_distance_to_identity() <= rate_bound(grid, Uniform(), k)
 
     def test_mean_bound_holds(self):
         # ||H_k - H|| <= 2 ||G_k - t||, so twice the sup-norm bound holds for the mean.
@@ -227,7 +227,7 @@ class TestRateBounds:
         mu_limit = theory.expected_contraction(Uniform())
         for k, it in enumerate(iterate_operator(grid, Uniform(), 10), start=1):
             mean_k, _ = hn_mean_var(it, Uniform())
-            bound = 2 * rate_bound(grid, Uniform(), 0.25, k)
+            bound = 2 * rate_bound(grid, Uniform(), k)
             assert abs(mean_k - mu_limit) <= bound + 1e-6
 
 

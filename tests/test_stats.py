@@ -83,17 +83,17 @@ class TestBootstrap:
 
 class TestWilson:
     def test_no_successes(self):
-        ci = wilson_ci(0, 1000, 0.95)
+        ci = wilson_ci(0, 1000)
         assert ci.lower == 0.0
         assert ci.upper < 0.005
 
     def test_half_successes_symmetric(self):
-        ci = wilson_ci(500, 1000, 0.95)
+        ci = wilson_ci(500, 1000)
         assert 0.5 * (ci.lower + ci.upper) == pytest.approx(0.5, abs=1e-12)
         assert ci.upper - ci.lower == pytest.approx(0.062, abs=0.001)
 
     def test_all_successes(self):
-        ci = wilson_ci(1000, 1000, 0.95)
+        ci = wilson_ci(1000, 1000)
         assert ci.upper == 1.0
         assert ci.lower > 0.99
 
@@ -101,12 +101,11 @@ class TestWilson:
         # Oracle: scipy's binomtest Wilson interval, an independent implementation.
         for n in (1, 5, 20, 137, 1000):
             for k in sorted({0, 1, n // 3, n // 2, n - 1, n}):
-                for level in (0.8, 0.9, 0.95, 0.99, 0.999):
-                    ours = wilson_ci(k, n, level)
-                    ref = sps.binomtest(k, n).proportion_ci(confidence_level=level,
-                                                             method="wilson")
-                    assert ours.lower == pytest.approx(ref.low, abs=1e-15, rel=0)
-                    assert ours.upper == pytest.approx(ref.high, abs=1e-15, rel=0)
+                ours = wilson_ci(k, n)
+                ref = sps.binomtest(k, n).proportion_ci(confidence_level=0.95,
+                                                         method="wilson")
+                assert ours.lower == pytest.approx(ref.low, abs=1e-15, rel=0)
+                assert ours.upper == pytest.approx(ref.high, abs=1e-15, rel=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -116,12 +115,11 @@ class TestWilson:
 
     @settings(max_examples=80, deadline=None)
     @given(successes=st.integers(min_value=0, max_value=50),
-           trials=st.integers(min_value=1, max_value=50),
-           level=st.floats(min_value=0.5, max_value=0.999))
-    def test_endpoints_always_in_unit_interval(self, successes, trials, level):
+           trials=st.integers(min_value=1, max_value=50))
+    def test_endpoints_always_in_unit_interval(self, successes, trials):
         if successes > trials:
             successes = trials
-        ci = wilson_ci(successes, trials, level)
+        ci = wilson_ci(successes, trials)
         assert 0.0 <= ci.lower <= ci.point <= ci.upper <= 1.0
 
 
@@ -149,9 +147,7 @@ class TestKsStatistic:
         assert ks_statistic(draws) < 1.95 / math.sqrt(10_000)
 
     def test_critical_values(self):
-        assert ks_critical_value(10_000, 0.01) == pytest.approx(0.01628, abs=1e-5)
-        with pytest.raises(ValueError):
-            ks_critical_value(100, 0.42)
+        assert ks_critical_value(10_000) == pytest.approx(0.01628, abs=1e-5)
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateSampleError):

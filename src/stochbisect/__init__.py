@@ -30,7 +30,6 @@ from .theory import (
     contraction_variance,
     ell_pdf,
     expected_contraction,
-    expected_interval_length,
     ksection_conditional,
     ksection_expected,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "ell_cdf_general",
     "ell_pdf",
     "expected_contraction",
-    "expected_interval_length",
     "iterate_operator",
     "ks_statistic",
     "ksection_conditional",

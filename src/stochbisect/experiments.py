@@ -5,7 +5,8 @@ random draw comes from a substream derived as (seed, experiment tag, run
 index), so reports are reproducible byte for byte and runs could execute
 in any order or in parallel. Results come back as an `ExperimentReport`
 (config echo, labelled cells with theory references, named data series)
-that serializes to CSV or JSON and parses back losslessly.
+that serializes to CSV or JSON and parses back losslessly. A series is its
+column names and a (rows x columns) float array.
 
 The statistical conventions are constants, not runner parameters, each
 defined by the module that computes with it: `stats.LEVEL` (95% intervals),
@@ -17,6 +18,7 @@ used in its config.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -107,12 +109,15 @@ class Cell:
 
 @dataclass
 class ExperimentReport:
-    """Structured result of one experiment run."""
+    """Structured result of one experiment run.
+
+    `series` maps a name to (column names, a (rows x columns) float array).
+    """
 
     experiment: str
     config: dict
     cells: list[Cell] = field(default_factory=list)
-    series: dict[str, tuple[list[str], list[tuple]]] = field(default_factory=dict)
+    series: dict[str, tuple[list[str], np.ndarray]] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
     def cell(self, label: str) -> Cell:
@@ -122,7 +127,12 @@ class ExperimentReport:
         raise KeyError(label)
 
     def add_series(self, name: str, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
-        self.series[name] = (list(columns), [tuple(map(float, row)) for row in rows])
+        """Store `rows` as a (rows x columns) float array under `name`.
+
+        Raises `ValueError` when a row's length differs from the column count.
+        """
+        data = np.asarray(rows, dtype=float).reshape(len(rows), len(columns))
+        self.series[name] = (list(columns), data)
 
     def to_payload(self) -> dict:
         """Canonical JSON-safe dict."""
@@ -148,7 +158,7 @@ class ExperimentReport:
             "config": {k: _plain(v) for k, v in self.config.items()},
             "cells": cells,
             "series": {
-                name: {"columns": cols, "rows": [list(r) for r in rows]}
+                name: {"columns": cols, "rows": rows.tolist()}
                 for name, (cols, rows) in self.series.items()
             },
             "notes": list(self.notes),
@@ -163,12 +173,12 @@ def _plain(value):
     return value
 
 
-def _format(value) -> str:
+def _format(value):
+    # csv.writer writes a float as str(float), which is repr(float); only
+    # booleans need their own spelling.
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return value
 
 
 def _parse_scalar(text: str):
@@ -200,9 +210,7 @@ def report_to_csv(report: ExperimentReport) -> str:
     """Sectioned CSV: config rows, cell rows, then named series blocks."""
     payload = report.to_payload()
     buf = io.StringIO()
-    import csv as _csv
-
-    writer = _csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["experiment", payload["experiment"]])
     for key, value in payload["config"].items():
         writer.writerow(["config", key, _format(value)])
@@ -215,17 +223,14 @@ def report_to_csv(report: ExperimentReport) -> str:
         writer.writerow(["note", note])
     for name, block in payload["series"].items():
         writer.writerow(["series", name, *block["columns"]])
-        for row in block["rows"]:
-            writer.writerow(["row", name, *[_format(v) for v in row]])
+        writer.writerows(["row", name, *row] for row in block["rows"])
     return buf.getvalue()
 
 
 def parse_report_csv(text: str) -> dict:
     """Inverse of `report_to_csv`, returning the canonical payload dict."""
-    import csv as _csv
-
     payload: dict = {"experiment": None, "config": {}, "cells": [], "series": {}, "notes": []}
-    for row in _csv.reader(io.StringIO(text)):
+    for row in csv.reader(io.StringIO(text)):
         if not row:
             continue
         tag = row[0]
@@ -537,9 +542,9 @@ def run_decay_experiment(
             "noise (starting law is already near uniform)"
         )
     report.add_series("ks_distance", ["n", "ks_distance"],
-                      [(n, ks_values[n]) for n in range(iters + 1)])
+                      np.column_stack((np.arange(iters + 1), ks_values)))
     report.add_series("mean_deviation", ["n", "mean_abs_deviation"],
-                      [(n, mean_devs[n - 1]) for n in range(1, iters + 1)])
+                      np.column_stack((np.arange(1, iters + 1), mean_devs)))
     return report
 
 
@@ -564,7 +569,7 @@ def run_correlation_experiment(
     for n in range(iters):
         ells[n], roots = population_step(roots, cut_dist, rng)
 
-    corr = stats.correlation_matrix(list(ells))
+    corr = stats.correlation_matrix(ells)
     off_diagonal = corr[~np.eye(iters, dtype=bool)]
     report = ExperimentReport(
         "correlation",
@@ -576,7 +581,7 @@ def run_correlation_experiment(
             Cell("decorrelation_threshold", value=4.0 / math.sqrt(runs)),
         ],
     )
-    report.add_series("matrix", [f"l{j + 1}" for j in range(iters)], corr.tolist())
+    report.add_series("matrix", [f"l{j + 1}" for j in range(iters)], corr)
     return report
 
 
@@ -660,7 +665,7 @@ def run_theory_report(dist: str) -> ExperimentReport:
     grid = np.linspace(0.0, 1.0, 11)
     report.add_series(
         "conditional_expected_length", ["r0", "expected_scaling"],
-        [(float(r0), theory.conditional_expected_length(float(r0), law)) for r0 in grid],
+        [(r0, theory.conditional_expected_length(r0, law)) for r0 in grid],
     )
     report.add_series(
         "ksection", ["k", "expected_scaling"],

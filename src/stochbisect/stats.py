@@ -3,6 +3,8 @@
 Percentile-bootstrap and Wilson confidence intervals, the exact one-sample
 Kolmogorov-Smirnov statistic against the uniform law, log-linear fits for
 exponential decay, Pearson correlation matrices, and Q-Q plotting data.
+Q-Q data comes back as an (M, 2) float array, the (rows x columns) form
+of a report series.
 
 The statistical conventions are this module's constants: every interval
 has level `LEVEL` (0.95), the bootstrap draws `RESAMPLES` (2000) resampled
@@ -176,11 +178,11 @@ def correlation_matrix(columns: Sequence[Sequence[float]]) -> np.ndarray:
     return np.clip(corr, -1.0, 1.0)
 
 
-def qq_points(samples: Sequence[float]) -> list[tuple[float, float]]:
-    """Uniform Q-Q data: ((i - 0.5) / M, i-th order statistic) pairs."""
+def qq_points(samples: Sequence[float]) -> np.ndarray:
+    """Uniform Q-Q data: an (M, 2) array of rows ((i - 0.5) / M, i-th order statistic)."""
     samples = np.sort(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise DegenerateSampleError("Q-Q plot needs a nonempty sample")
     m = samples.size
     positions = (np.arange(1, m + 1) - 0.5) / m
-    return list(zip(positions.tolist(), samples.tolist()))
+    return np.column_stack((positions, samples))

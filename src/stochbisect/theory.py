@@ -30,7 +30,6 @@ __all__ = [
     "expected_contraction",
     "contraction_variance",
     "ell_pdf",
-    "expected_interval_length",
     "ksection_conditional",
     "ksection_expected",
 ]
@@ -79,13 +78,6 @@ def ell_pdf(cut_dist: Distribution, t: float) -> float:
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must be in (0, 1), got {t}")
     return t * (cut_dist.pdf(t) + cut_dist.pdf(1.0 - t))
-
-
-def expected_interval_length(cut_dist: Distribution, n: int) -> float:
-    """E[L_n] = E[ell]^n for a uniform root (the factors are independent)."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return expected_contraction(cut_dist) ** n
 
 
 def ksection_conditional(r0: float, k: int) -> float:

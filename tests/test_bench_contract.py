@@ -6,7 +6,10 @@ traced function it lists, and a traced benchmark run fails when a count
 differs or a command does not exit 0. Renaming a runner, dropping a flag the workloads pass (`operator
 --seed`, say) or moving work between traced functions therefore breaks
 the benchmark; this test runs one traced pass so that the suite fails
-first. It only imports `bench/`.
+first. It then replays the benchmark's output check: a second, untraced
+pass must parse back every report and reproduce each report's digest,
+which is what the benchmark's failure count rests on. It only imports
+`bench/`.
 """
 
 import sys
@@ -38,3 +41,7 @@ def test_traced_pass_matches_the_span_counts(workload):
     assert dict(check.mismatches) == {}
     exit_codes = {op.name: [code for code, _ in seen] for op, seen in zip(ops, outcomes)}
     assert exit_codes == {op.name: [0] for op in ops}
+
+    accepted, _ = runner.check_pass(ops)
+    assert worker.count_failures(ops, outcomes, accepted)[:2] == (0, [])
+    assert [list(seen) for seen in outcomes] == [[key] for key in accepted]

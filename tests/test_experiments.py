@@ -37,6 +37,27 @@ class TestReportSerialization:
         payload = parse_report_csv(report_to_csv(report))
         assert payload["series"]["qq"]["rows"] == report.to_payload()["series"]["qq"]["rows"]
 
+    def test_row_length_must_match_columns(self):
+        report = ex.ExperimentReport("x", {})
+        with pytest.raises(ValueError):
+            report.add_series("x", ["a", "b"], [(1.0, 2.0, 3.0)])
+        with pytest.raises(ValueError):
+            report.add_series("x", ["a", "b"], [(1.0, 2.0), (3.0,)])
+        assert report.series == {}
+
+    def test_every_series_is_a_float_array(self):
+        reports = [
+            ex.run_stationarity_experiment(runs=50, iters=5, seed=SEED),
+            ex.run_decay_experiment("beta:2,2", runs=100, iters=3, seed=SEED),
+            ex.run_correlation_experiment("uniform", "uniform", runs=50, iters=3, seed=SEED),
+            ex.run_operator_experiment("cubic", "uniform", k=2, grid=65),
+            ex.run_theory_report("uniform"),
+        ]
+        for report in reports:
+            for cols, rows in report.series.values():
+                assert isinstance(rows, np.ndarray) and rows.dtype == float
+                assert rows.shape == (len(rows), len(cols))
+
     def test_theory_reference_inside_flag(self, report):
         cell = report.to_payload()["cells"][0]
         assert cell["label"] == "mean_scaling_factor"

@@ -200,7 +200,9 @@ class TestCorrelationMatrix:
 
 class TestQqPoints:
     def test_single_sample(self):
-        assert qq_points([0.7]) == [(0.5, 0.7)]
+        points = qq_points([0.7])
+        assert points.shape == (1, 2)
+        assert points.tolist() == [[0.5, 0.7]]
 
     def test_exact_grid_close_to_diagonal(self):
         m = 99

@@ -185,12 +185,6 @@ class TestCrossValidationInvariants:
 
 
 class TestExpectedIntervalLength:
-    def test_examples(self):
-        assert theory.expected_interval_length(Uniform(), 2) == pytest.approx(4 / 9, abs=1e-12)
-        assert theory.expected_interval_length(Beta(2, 2), 0) == 1.0
-        assert theory.expected_interval_length(PointMass(0.5), 10) == pytest.approx(
-            2.0**-10, abs=1e-15)
-
     def test_uniform_monte_carlo_cross_check(self):
         rng = substream(1, "len-mc")
         roots = rng.uniform(size=1_000_000)
@@ -199,10 +193,6 @@ class TestExpectedIntervalLength:
         lengths = e1 * e2
         se = lengths.std() / math.sqrt(lengths.size)
         assert abs(lengths.mean() - 4 / 9) < 3 * se
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            theory.expected_interval_length(Uniform(), -1)
 
 
 class TestKsection:

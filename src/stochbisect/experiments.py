@@ -264,12 +264,15 @@ def _interval_after_root(est: IntervalEstimate, power: float) -> IntervalEstimat
 def _scaling_cells(
     ells: np.ndarray,
     final_lengths: np.ndarray,
-    iters: int,
     reference: float,
     seed: int,
     tag: str,
 ) -> list[Cell]:
-    mean_ci = stats.bootstrap_mean_ci(ells.ravel(), rng=substream(seed, tag, "bootstrap-ell"))
+    # `ells` is (runs, iters). The run is the resampling unit, since the
+    # factors within a run are dependent unless the root is uniform.
+    iters = ells.shape[1]
+    mean_ci = stats.bootstrap_mean_ci(
+        ells.mean(axis=1), rng=substream(seed, tag, "bootstrap-ell"))
     length_ci = stats.bootstrap_mean_ci(
         final_lengths, rng=substream(seed, tag, "bootstrap-length"))
     geo_ci = _interval_after_root(length_ci, 1.0 / iters)
@@ -292,10 +295,12 @@ def run_contraction_experiment(
     """Per-step scaling factors of random-cut bisection on f(x) = x - r.
 
     Each run draws a uniform root, runs the bracketing algorithm for
-    `iters` iterations, and records every scaling factor; bootstrap CIs
-    for the mean factor and for (mean L_N)^(1/N) are compared against the
-    closed-form expected contraction. A run cut short by the 1e-15 width
-    floor (or an exact hit of the root) raises `ArithmeticError`.
+    `iters` iterations, and records every scaling factor. Bootstrap CIs
+    for the mean factor and for (mean L_N)^(1/N) resample whole runs (the
+    per-run mean factor and the per-run final length) and are compared
+    against the closed-form expected contraction. A run cut short by the
+    1e-15 width floor (or an exact hit of the root) raises
+    `ArithmeticError`.
     """
     if runs < 2 or iters < 1:
         raise ValueError("need runs >= 2 and iters >= 1")
@@ -319,8 +324,7 @@ def run_contraction_experiment(
         "contraction",
         {"cut": cut_dist.spec, "runs": runs, "iters": iters,
          "seed": seed, "level": stats.LEVEL, "resamples": stats.RESAMPLES},
-        _scaling_cells(ells.ravel(), final_lengths, iters, reference,
-                       seed, "contraction"),
+        _scaling_cells(ells, final_lengths, reference, seed, "contraction"),
     )
     report.cells.append(Cell("theory_contraction_variance",
                              value=theory.contraction_variance(cut_dist)))
@@ -333,7 +337,11 @@ def run_ksection_experiment(
     iters: int = 30,
     seed: int = DEFAULT_SEED,
 ) -> ExperimentReport:
-    """Scaling factors of the K-cut variant with uniform cuts and root."""
+    """Scaling factors of the K-cut variant with uniform cuts and root.
+
+    As in `run_contraction_experiment`, the bootstrap CIs resample whole
+    runs: the per-run mean factor and the per-run final length.
+    """
     if k < 1:
         raise ValueError("need k >= 1")
     if runs < 2 or iters < 1:
@@ -356,8 +364,7 @@ def run_ksection_experiment(
         "ksection",
         {"k": k, "runs": runs, "iters": iters, "seed": seed,
          "level": stats.LEVEL, "resamples": stats.RESAMPLES},
-        _scaling_cells(ells.ravel(), final_lengths, iters, reference,
-                       seed, "ksection"),
+        _scaling_cells(ells, final_lengths, reference, seed, "ksection"),
     )
     return report
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stochbisect import experiments as ex
+from stochbisect import stats
 from stochbisect.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from stochbisect.experiments import (
     parse_report_csv,
@@ -16,6 +17,7 @@ from stochbisect.experiments import (
     report_to_json,
     truncate_at_noise_floor,
 )
+from stochbisect.seeding import substream
 
 SEED = 424242  # tests here only need reproducibility, not specific outcomes
 
@@ -143,6 +145,33 @@ class TestKsection:
         ea = a.cell("mean_scaling_factor").estimate
         eb = b.cell("mean_scaling_factor").estimate
         assert ea.overlaps(eb.lower, eb.upper)
+
+
+class TestScalingCells:
+    """`contraction` and `ksection` bootstrap whole runs, not single factors."""
+
+    def test_dependent_factors_keep_nominal_coverage(self):
+        # Each run repeats one uniform draw, the extreme of within-run
+        # dependence. Resampling the 200 factors as if independent shrinks
+        # the interval by sqrt(10) and covers the mean 1/2 about half the
+        # time; resampling the 20 runs keeps close to 95%.
+        runs, iters, reps = 20, 10, 300
+        hits = 0
+        for rep in range(reps):
+            draws = substream(rep, "dependent-runs").uniform(size=(runs, 1))
+            ells = np.repeat(draws, iters, axis=1)
+            cell = ex._scaling_cells(ells, ells.prod(axis=1), 0.5, rep, "dependent")[0]
+            hits += cell.estimate.contains(0.5)
+        assert 0.90 <= hits / reps <= 0.99
+
+    def test_run_constant_factors_give_the_run_interval(self):
+        # Dyadic draws keep every row mean exact.
+        draws = substream(SEED, "constant-runs").integers(1, 64, size=50) / 64
+        ells = np.repeat(draws[:, None], 8, axis=1)
+        cell = ex._scaling_cells(ells, ells.prod(axis=1), 0.5, SEED, "constant")[0]
+        expected = stats.bootstrap_mean_ci(
+            draws, rng=substream(SEED, "constant", "bootstrap-ell"))
+        assert cell.estimate == expected
 
 
 class TestFixedRoot:

@@ -172,14 +172,18 @@ class Distribution(ABC):
 
 
 class Uniform(Distribution):
-    """Uniform law on [0, 1]."""
+    """Uniform law on [0, 1].
+
+    Each draw is one double from `rng.random`, the stream and values of
+    `rng.uniform()` at a lower call cost.
+    """
 
     @property
     def spec(self) -> str:
         return "uniform"
 
     def sample(self, rng, size=None):
-        return rng.uniform(size=size)
+        return rng.random(size)
 
     def cdf(self, x):
         return self._check_domain(x)
@@ -272,11 +276,15 @@ def _irwin_hall(n: int, y, power: int) -> np.ndarray:
 class Bates(Distribution):
     """Bates(n): the mean of n i.i.d. uniforms on [0, 1].
 
-    Sampling is exact (average of n uniform draws) and the closed-form
-    moments hold for any n. The CDF/PDF use the rescaled Irwin-Hall
-    alternating sum with compensated summation, which is accurate in
-    double precision only for n <= 25: beyond that `cdf` and `pdf`, and so
-    `quadrature`, raise `ArithmeticError`. `pdf` takes a scalar or an
+    Sampling gives `rng.uniform(size=(n, *size)).mean(axis=0)` bit for
+    bit without building that block: n rows of `size` doubles are added
+    in row order and divided by n. One draw (no size, or a one-element
+    size) is the pairwise `sum` of n doubles over n, as numpy's `mean`
+    takes it for a single column. The closed-form moments hold for any n.
+    The CDF/PDF use the rescaled Irwin-Hall alternating sum with
+    compensated summation, which is accurate in double precision only for
+    n <= 25: beyond that `cdf` and `pdf`, and so `quadrature`, raise
+    `ArithmeticError`. `pdf` takes a scalar or an
     array of any shape and sums all points at once.
     """
 
@@ -290,11 +298,15 @@ class Bates(Distribution):
         return f"bates:{self.n}"
 
     def sample(self, rng, size=None):
-        shape = (self.n,) if size is None else (self.n,) + (
-            (size,) if isinstance(size, int) else tuple(size)
-        )
-        draws = rng.uniform(size=shape).mean(axis=0)
-        return float(draws) if size is None else draws
+        n = self.n
+        if size is None or np.prod(size) == 1:
+            draw = float(rng.random(n).sum()) / n
+            return draw if size is None else np.full(size, draw)
+        total = rng.random(size)
+        for _ in range(n - 1):
+            total += rng.random(size)
+        total /= n
+        return total
 
     def _check_accuracy(self) -> None:
         if self.n > _BATES_MAX_N:

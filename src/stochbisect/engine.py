@@ -9,7 +9,8 @@ reference. `population_step` is the one vectorized kernel: it advances
 many independent chains, with cuts from any law, for the statistical
 experiments. `multisection_step` is the scalar step with uniform cuts,
 and `bisection_run` applies the one-cut rule to a bracket of a
-user-supplied f.
+user-supplied f, keeping one `IterationRecord` per step. A record is a
+named tuple: immutable, read by field name, and cheap to build.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +110,7 @@ def _redraw_endpoints(
     )
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """State after one iteration: bracket, cut, scaling, cumulative length."""
 
     n: int
@@ -216,10 +217,9 @@ def multisection_step(
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"r must lie in [0, 1], got {r}")
-    cuts = rng.uniform(size=k)
-    if not cuts.all():  # uniform draws lie in [0, 1): redraw a cut at 0
-        cuts = _redraw_endpoints(cuts, _UNIFORM, rng)
-    cuts = cuts.tolist()
+    cuts = rng.random(k).tolist()
+    if 0.0 in cuts:  # uniform draws lie in [0, 1): redraw a cut at 0
+        cuts = _redraw_endpoints(np.array(cuts), _UNIFORM, rng).tolist()
     lo = max((c for c in cuts if c < r), default=0.0)
     hi = min((c for c in cuts if c >= r), default=1.0)
     ell = hi - lo

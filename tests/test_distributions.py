@@ -100,6 +100,36 @@ class TestSampling:
         b = dist.sample(substream(5, "repro"), size=64)
         assert np.array_equal(a, b)
 
+    # The draw contract: a law takes exactly the doubles of its numpy
+    # reference, and gives the same values bit for bit. Each case repeats
+    # its draw so that a change of summation order shows on some draw.
+    @staticmethod
+    def _assert_same_stream(draw, reference, tag):
+        rng, ref = substream(9, "draw-contract", tag), substream(9, "draw-contract", tag)
+        for _ in range(50):
+            got, want = draw(rng), reference(ref)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("size", [None, 0, 1, 5, (3, 4)])
+    def test_uniform_draws_are_generator_uniform(self, size):
+        self._assert_same_stream(lambda rng: Uniform().sample(rng, size=size),
+                                 lambda rng: rng.uniform(size=size), f"uniform-{size}")
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 20])
+    def test_bates_draw_is_the_mean_of_n_uniforms(self, n):
+        self._assert_same_stream(lambda rng: Bates(n).sample(rng),
+                                 lambda rng: float(rng.uniform(size=n).mean()), f"bates-{n}")
+
+    @pytest.mark.parametrize("size", [0, 1, 5, (3, 4)])
+    @pytest.mark.parametrize("n", [1, 7, 8, 20])
+    def test_bates_draws_are_the_row_mean_of_a_uniform_block(self, n, size):
+        shape = (size,) if isinstance(size, int) else size
+        self._assert_same_stream(lambda rng: Bates(n).sample(rng, size=size),
+                                 lambda rng: rng.uniform(size=(n, *shape)).mean(axis=0),
+                                 f"bates-{n}-{size}")
+
     @pytest.mark.parametrize("dist", PARAMETRIC, ids=lambda d: d.spec)
     def test_empirical_cdf_matches_cdf(self, dist):
         # KS between 1e5 draws and the analytic CDF; for a correct sampler

@@ -85,6 +85,18 @@ class TestBisectionRun:
             assert rec.L == pytest.approx(prod, rel=1e-12)
             assert rec.L == pytest.approx((rec.b - rec.a) / 1.5, rel=1e-12)
 
+    def test_records_are_immutable_and_read_by_name(self):
+        # A cut at 1/2 halves the bracket: ell is 1/2 and L is 2^-n exactly.
+        trace = bisection_run(lambda x: x - 0.3, 0.0, 1.0, PointMass(0.5),
+                              1e-8, 1000, substream(0, "det"))
+        rec = trace.records[0]
+        with pytest.raises(AttributeError):
+            rec.ell = 0.25
+        assert (rec.n, rec.a, rec.b, rec.cut, rec.ell, rec.L) == (1, 0.0, 0.5, 0.5, 0.5, 0.5)
+        assert np.array_equal(trace.ells(), np.full(27, 0.5))
+        assert trace.final_length() == 2.0 ** -27
+        assert trace.records[-1].n == 27
+
     def test_invalid_bracket(self):
         with pytest.raises(BracketError):
             bisection_run(lambda x: x + 2.0, 0.0, 1.0, Uniform(), 1e-8, 10,
@@ -307,7 +319,7 @@ class TestMultisection:
             def __init__(self):
                 self.draws = [np.array([0.0, 0.5]), np.array([0.25])]
 
-            def uniform(self, size=None):
+            def random(self, size=None):
                 return self.draws.pop(0)
 
         ell, r_next = multisection_step(0.0, 2, ZeroFirst())

@@ -20,7 +20,6 @@ from .engine import (
     bisection_run,
     multisection_step,
     population_step,
-    skewed_dyadic,
 )
 from .markov import GridCdf, apply_operator, ell_cdf_general, iterate_operator, rate_bound
 from .seeding import substream
@@ -62,7 +61,6 @@ __all__ = [
     "parse_spec",
     "population_step",
     "rate_bound",
-    "skewed_dyadic",
     "substream",
     "wilson_ci",
 ]

@@ -2,14 +2,14 @@
 
 Five families: Uniform, Beta(a, b), Bates(n) (mean of n uniforms),
 PointMass(c), and Empirical (resampling from stored values). Each law
-exposes exact sampling, CDF evaluation, closed-form moments, a
-quadrature measure `quadrature()` (nodes and weights), and the
-Lebesgue-Stieltjes expectation E[g(X)] = integral of g dF built on it.
-The theory layer integrates through the expectation; the operator layer
-in `markov` uses the quadrature measure directly. Every density measure
-comes from one Gauss-Legendre builder on [0, hi], `_gauss_measure`:
-Uniform and Bates use [0, 1], and Beta joins [0, 1/2] of itself to
-[0, 1/2] of Beta(b, a) mirrored by x -> 1 - x.
+exposes exact sampling, CDF evaluation, closed-form moments, and a
+quadrature measure `quadrature()` (nodes and weights) for dF: E[g(X)] is
+the weighted sum of g at the nodes. The theory layer and the operator
+layer in `markov` both read the measure directly, and pass the known
+kinks of an integrand as breakpoints. Every density measure comes from
+one Gauss-Legendre builder on [0, hi], `_gauss_measure`: Uniform and
+Bates use [0, 1], and Beta joins [0, 1/2] of itself to [0, 1/2] of
+Beta(b, a) mirrored by x -> 1 - x.
 
 All parameters are validated at construction; instances are immutable and
 safe to share across workers. Randomness always comes from a caller-owned
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -151,16 +151,6 @@ class Distribution(ABC):
         the weights are nonnegative and sum to 1 up to rounding.
         """
 
-    def stieltjes_expectation(
-        self, g: Callable[[np.ndarray], np.ndarray], breakpoints: Sequence[float] = ()
-    ) -> float:
-        """E[g(X)] = integral of g dF for a vectorized g on [0, 1]."""
-        pts, wts = self.quadrature(breakpoints)
-        vals = np.asarray(g(pts), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(pts.shape, float(vals))
-        return float(wts @ vals)
-
     def _check_domain(self, x: float) -> float:
         x = float(x)
         if not 0.0 <= x <= 1.0:
@@ -284,8 +274,11 @@ class Bates(Distribution):
     The CDF/PDF use the rescaled Irwin-Hall alternating sum with
     compensated summation, which is accurate in double precision only for
     n <= 25: beyond that `cdf` and `pdf`, and so `quadrature`, raise
-    `ArithmeticError`. `pdf` takes a scalar or an
-    array of any shape and sums all points at once.
+    `ArithmeticError`. Irwin-Hall is symmetric about n/2 and its sum cancels
+    catastrophically past it, so both sum only at y = n x folded to
+    min(y, n - y): `pdf` is n times the folded sum, and `cdf` is 1 minus it
+    past n/2. `pdf` takes a scalar or an array of any shape and sums all
+    points at once.
     """
 
     def __init__(self, n: int):
@@ -314,32 +307,25 @@ class Bates(Distribution):
                 f"{self.spec}: the Irwin-Hall sum behind cdf and pdf is accurate "
                 f"only for n <= {_BATES_MAX_N}")
 
+    def _folded_sum(self, x, power: int):
+        """(y, s): y = n x, and s the Irwin-Hall sum at min(y, n - y) on (0, n), else 0."""
+        n = self.n
+        y = n * np.asarray(x, dtype=float)
+        inside = (y > 0.0) & (y < n)
+        folded = np.where(inside, np.minimum(y, n - y), 0.0)
+        return y, np.where(inside, _irwin_hall(n, folded, power), 0.0)
+
     def cdf(self, x):
         self._check_accuracy()
-        x = self._check_domain(x)
-        n = self.n
-        y = n * x
-        if y <= 0.0:
-            return 0.0
-        if y >= n:
-            return 1.0
-        # Irwin-Hall is symmetric about n/2; the alternating sum cancels
-        # catastrophically for y > n/2, so always evaluate on the left half.
-        if y > 0.5 * n:
-            return min(1.0, max(0.0, 1.0 - float(_irwin_hall(n, n - y, n))))
-        return min(1.0, max(0.0, float(_irwin_hall(n, y, n))))
+        y, v = self._folded_sum(self._check_domain(x), self.n)
+        return float(np.clip(1.0 - v if y > 0.5 * self.n else v, 0.0, 1.0))
 
     def moments(self):
         return 0.5, 1.0 / (12.0 * self.n)
 
     def pdf(self, x):
         self._check_accuracy()
-        x = np.asarray(x, dtype=float)
-        n = self.n
-        y = n * x
-        inside = (y > 0.0) & (y < n)
-        y = np.where(inside, np.minimum(y, n - y), 0.0)  # density is symmetric about n/2
-        out = np.where(inside, n * _irwin_hall(n, y, n - 1), 0.0)
+        out = self.n * self._folded_sum(x, self.n - 1)[1]
         return out if out.ndim else float(out)
 
     def quadrature(self, breakpoints=()):

@@ -4,13 +4,12 @@ One step rule lives here, the K-cut step: draw K cuts in (0, 1) and keep
 the gap [lo, hi] between the largest cut below the root r and the
 smallest cut at or above it (0 and 1 when there is none), then rescale r
 to (r - lo) / (hi - lo). A tie c == r therefore keeps [lo, c]. With one
-cut this is random bisection, and `skewed_dyadic` is its scalar
-reference. `population_step` is the one vectorized kernel: it advances
-many independent chains, with cuts from any law, for the statistical
-experiments. `multisection_step` is the scalar step with uniform cuts,
-and `bisection_run` applies the one-cut rule to a bracket of a
-user-supplied f, keeping one `IterationRecord` per step. A record is a
-named tuple: immutable, read by field name, and cheap to build.
+cut this is random bisection. `population_step` is the one vectorized
+kernel: it advances many independent chains, with cuts from any law, for
+the statistical experiments. `multisection_step` is the scalar step with
+uniform cuts, and `bisection_run` applies the one-cut rule to a bracket
+of a user-supplied f, keeping one `IterationRecord` per step. A record is
+a named tuple: immutable, read by field name, and cheap to build.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "NonFiniteValueError",
     "IterationRecord",
     "RunTrace",
-    "skewed_dyadic",
     "draw_cut",
     "bisection_run",
     "multisection_step",
@@ -61,19 +59,6 @@ def _finite(x: float, fx: float) -> float:
     if not math.isfinite(fx):
         raise NonFiniteValueError(f"f({x!r}) = {fx!r} is not finite")
     return fx
-
-
-def skewed_dyadic(c: float, r: float) -> float:
-    """Rescaling map for one cut: r/c if c >= r, else (r-c)/(1-c).
-
-    The tie c == r takes the first branch (returns 1). Cuts at exactly
-    0 or 1 are rejected because the map degenerates there.
-    """
-    if not 0.0 < c < 1.0:
-        raise DomainError(f"cut must lie strictly inside (0, 1), got {c}")
-    if c >= r:
-        return r / c
-    return (r - c) / (1.0 - c)
 
 
 def draw_cut(cut_dist: Distribution, rng: np.random.Generator) -> float:
@@ -134,10 +119,6 @@ class RunTrace:
     terminated_by: str = TERMINATED_MAX_ITERATIONS
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def iterations(self) -> int:
         return len(self.records)
 
     def ells(self) -> np.ndarray:
@@ -233,7 +214,8 @@ def population_step(
 
     The k * M cuts are drawn as k rows of M, so chain i takes draws i,
     M + i, ...; a single chain gets the scalar step's draw order. With
-    k = 1 the arithmetic is `skewed_dyadic`'s, tie included. A root
+    k = 1 a cut c >= r keeps [0, c] and maps r to r / c, tie included,
+    and a cut c < r keeps [c, 1] and maps r to (r - c) / (1 - c). A root
     outside [0, 1], or NaN, raises `DomainError`.
     """
     if k < 1:

@@ -98,7 +98,7 @@ class Cell:
     value: float | None = None
     estimate: IntervalEstimate | None = None
     theory_reference: float | None = None
-    reference_inside: bool | None = None
+    reference_inside: bool | None = field(default=None, init=False)
 
     def __post_init__(self):
         if (self.value is None) == (self.estimate is None):
@@ -312,9 +312,9 @@ def run_contraction_experiment(
         rng = substream(seed, "contraction", m)
         root = float(rng.uniform())
         trace = bisection_run(lambda x: x - root, 0.0, 1.0, cut_dist, _MIN_WIDTH, iters, rng)
-        if trace.iterations < iters:  # averaging shorter runs would bias both estimates
+        if len(trace) < iters:  # averaging shorter runs would bias both estimates
             raise ArithmeticError(
-                f"contraction run {m} stopped after {trace.iterations} of {iters} "
+                f"contraction run {m} stopped after {len(trace)} of {iters} "
                 f"iterations, at a width below {_MIN_WIDTH:g} or on the root")
         ells[m] = trace.ells()
         final_lengths[m] = trace.final_length()
@@ -396,7 +396,7 @@ def run_fixed_root_experiment(
     for m in range(runs):
         rng = substream(seed, "fixed-root", m)
         trace = bisection_run(lambda x: x - r, 0.0, 1.0, cut_dist, tol, max_iter, rng)
-        counts[m] = trace.iterations
+        counts[m] = len(trace)
         capped += trace.terminated_by == TERMINATED_MAX_ITERATIONS
     if capped:
         raise ArithmeticError(

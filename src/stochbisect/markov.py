@@ -68,6 +68,8 @@ class GridCdf:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 2:
             raise ValueError("GridCdf needs at least two nodes")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("GridCdf values must be finite")
         if np.any(np.diff(values) < -_REPAIR_LIMIT):
             raise ValueError("GridCdf values must be nondecreasing")
         if not 0.0 <= values[0] <= 1.0 or abs(values[-1] - 1.0) > 1e-9:
@@ -209,7 +211,7 @@ def ell_cdf_general(grid_cdf: GridCdf, cut_dist: Distribution, t) -> np.ndarray 
     """
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any((ts < 0.0) | (ts > 1.0)):
+    if not np.all((ts >= 0.0) & (ts <= 1.0)):  # NaN fails this test
         raise ValueError("t must lie in [0, 1]")
 
     if isinstance(cut_dist, Uniform):

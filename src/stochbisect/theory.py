@@ -51,11 +51,8 @@ def conditional_expected_length(r0: float, cut_dist: Distribution) -> float:
     r0 = float(r0)
     if not 0.0 <= r0 <= 1.0:
         raise DomainError(f"r0 must be in [0, 1], got {r0}")
-
-    def integrand(c: np.ndarray) -> np.ndarray:
-        return np.where(c >= r0, c, 1.0 - c)
-
-    return cut_dist.stieltjes_expectation(integrand, breakpoints=(r0,))
+    pts, wts = cut_dist.quadrature((r0,))
+    return float(wts @ np.where(pts >= r0, pts, 1.0 - pts))
 
 
 def expected_contraction(cut_dist: Distribution) -> float:

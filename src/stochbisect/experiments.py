@@ -129,13 +129,25 @@ class ExperimentReport:
     def add_series(self, name: str, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
         """Store `rows` as a (rows x columns) float array under `name`.
 
-        Raises `ValueError` when a row's length differs from the column count.
+        Raises `ValueError` when there are no columns, when a row's length
+        differs from the column count, or when `name` holds a comma, a
+        double quote or a line break: the CSV writer prints it unquoted.
         """
+        if _CSV_SPECIALS.intersection(name):
+            raise ValueError(f"series name {name!r} holds one of , \" \\r \\n")
+        if not len(columns):
+            raise ValueError(f"series {name!r} needs at least one column")
         data = np.asarray(rows, dtype=float).reshape(len(rows), len(columns))
         self.series[name] = (list(columns), data)
 
     def to_payload(self) -> dict:
         """Canonical JSON-safe dict."""
+        return self._payload({name: {"columns": cols, "rows": rows.tolist()}
+                              for name, (cols, rows) in self.series.items()})
+
+    def _payload(self, series: dict) -> dict:
+        # The payload around the given series; `report_to_csv` passes none
+        # and writes the series from their arrays itself.
         cells = []
         for cell in self.cells:
             entry: dict = {"label": cell.label}
@@ -157,10 +169,7 @@ class ExperimentReport:
             "experiment": self.experiment,
             "config": {k: _plain(v) for k, v in self.config.items()},
             "cells": cells,
-            "series": {
-                name: {"columns": cols, "rows": rows.tolist()}
-                for name, (cols, rows) in self.series.items()
-            },
+            "series": series,
             "notes": list(self.notes),
         }
 
@@ -205,10 +214,21 @@ def report_to_json(report: ExperimentReport) -> str:
 # other columns empty.
 _CELL_COLUMNS = ("point", "lower", "upper", "level", "method", "theory", "theory_inside")
 
+# Characters that make csv.writer quote a field; a series name holds none.
+_CSV_SPECIALS = frozenset(',"\r\n')
+# Series rows converted to Python floats at a time.
+_CSV_CHUNK_ROWS = 4096
+
 
 def report_to_csv(report: ExperimentReport) -> str:
-    """Sectioned CSV: config rows, cell rows, then named series blocks."""
-    payload = report.to_payload()
+    """Sectioned CSV: config rows, cell rows, then named series blocks.
+
+    Each series is written straight from its float array, `_CSV_CHUNK_ROWS`
+    rows at a time, as the lines csv.writer would print: a float is its
+    repr and never quoted, and the series name holds nothing to quote.
+    The writer's memory peak is about twice the text's length.
+    """
+    payload = report._payload({})
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["experiment", payload["experiment"]])
@@ -221,9 +241,12 @@ def report_to_csv(report: ExperimentReport) -> str:
             _format(fields[key]) if key in fields else "" for key in _CELL_COLUMNS)])
     for note in payload["notes"]:
         writer.writerow(["note", note])
-    for name, block in payload["series"].items():
-        writer.writerow(["series", name, *block["columns"]])
-        writer.writerows(["row", name, *row] for row in block["rows"])
+    for name, (columns, rows) in report.series.items():
+        writer.writerow(["series", name, *columns])
+        prefix = f"row,{name},"
+        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = rows[start:start + _CSV_CHUNK_ROWS].tolist()
+            buf.write("".join(prefix + ",".join(map(repr, row)) + "\n" for row in chunk))
     return buf.getvalue()
 
 

@@ -4,7 +4,9 @@ Percentile-bootstrap and Wilson confidence intervals, the exact one-sample
 Kolmogorov-Smirnov statistic against the uniform law, log-linear fits for
 exponential decay, Pearson correlation matrices, and Q-Q plotting data.
 Q-Q data comes back as an (M, 2) float array, the (rows x columns) form
-of a report series.
+of a report series. The KS statistic needs a sample in [0, 1] and the
+decay fit strictly positive values; NaN fails both. A correlation column
+is constant, and rejected, when its minimum equals its maximum.
 
 The statistical conventions are this module's constants: every interval
 has level `LEVEL` (0.95), the bootstrap draws `RESAMPLES` (2000) resampled
@@ -129,13 +131,19 @@ def wilson_ci(successes: int, trials: int) -> IntervalEstimate:
 
 
 def ks_statistic(samples: Sequence[float]) -> float:
-    """Exact sup_x |empirical CDF - x| against the uniform law on [0, 1]."""
+    """Exact sup_x |empirical CDF - x| against the uniform law on [0, 1].
+
+    A sample outside [0, 1], or holding NaN, raises `DegenerateSampleError`.
+    """
     samples = np.sort(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise DegenerateSampleError("KS statistic needs a nonempty sample")
+    # NaN sorts last, so the two ends catch every value outside [0, 1].
+    if not (samples[0] >= 0.0 and samples[-1] <= 1.0):
+        raise DegenerateSampleError("KS statistic needs a sample in [0, 1]")
     m = samples.size
-    i = np.arange(1, m + 1)
-    return float(max(np.max(i / m - samples), np.max(samples - (i - 1) / m)))
+    grid = np.arange(m + 1) / m
+    return float(max(np.max(grid[1:] - samples), np.max(samples - grid[:-1])))
 
 
 def ks_critical_value(m: int) -> float:
@@ -155,7 +163,7 @@ def fit_exponential_decay(values: Sequence[float]) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("need at least two values to fit a decay rate")
-    if np.any(values <= 0.0):
+    if not np.all(values > 0.0):  # NaN fails this test too
         raise ValueError("exponential fit needs strictly positive values")
     n = np.arange(values.size)
     slope = np.polyfit(n, np.log(values), 1)[0]
@@ -164,15 +172,23 @@ def fit_exponential_decay(values: Sequence[float]) -> tuple[float, float]:
 
 
 def correlation_matrix(columns: Sequence[Sequence[float]]) -> np.ndarray:
-    """Pearson correlation matrix of the given equal-length columns."""
+    """Pearson correlation matrix of the given equal-length columns.
+
+    `columns` is a sequence of 1-D columns or a (k, n) array, one column
+    per row; a float array is used as given, not stacked into a copy. A
+    column whose minimum equals its maximum is constant and raises
+    `DegenerateSampleError`, as do fewer than two columns, columns
+    shorter than two, and columns of different lengths.
+    """
     if len(columns) < 2:
         raise DegenerateSampleError("need at least two columns")
-    arrays = [np.asarray(col, dtype=float) for col in columns]
-    length = arrays[0].size
-    if length < 2 or any(col.size != length for col in arrays):
-        raise DegenerateSampleError("columns must share one length >= 2")
-    data = np.vstack(arrays)
-    if np.any(data.std(axis=1) == 0.0):
+    try:
+        data = np.asarray(columns, dtype=float)
+    except ValueError:  # ragged columns
+        raise DegenerateSampleError("columns must share one length >= 2") from None
+    if data.ndim != 2 or data.shape[1] < 2:
+        raise DegenerateSampleError("columns must be 1-D and share one length >= 2")
+    if np.any(data.min(axis=1) == data.max(axis=1)):
         raise DegenerateSampleError("every column needs nonzero variance")
     corr = np.corrcoef(data)
     return np.clip(corr, -1.0, 1.0)

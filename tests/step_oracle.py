@@ -1,10 +1,14 @@
-"""Reference step for the tests: the skewed dyadic map of one cut.
+"""Reference steps for the tests: the one-cut map and the K-cut gap rule.
 
-`engine.population_step` applies the one-cut rule to many chains at once
-with array arithmetic. This oracle is the rule written out for one cut
-and one root, branch by branch, so the tests can replay a step's cuts and
-compare each new root with it exactly.
+`engine.population_step` applies the K-cut rule to many chains at once,
+taking each chain's gap with a running in-place maximum and minimum over
+the cut rows. These oracles write the rule out another way, so the tests
+can replay a step's cuts and compare every factor and new root exactly:
+`skewed_dyadic` is the one-cut map for one root, branch by branch, and
+`k_cut_step` is the masked reduction over all k cut rows at once.
 """
+
+import numpy as np
 
 from stochbisect.distributions import DomainError
 
@@ -20,3 +24,16 @@ def skewed_dyadic(c: float, r: float) -> float:
     if c >= r:
         return r / c
     return (r - c) / (1.0 - c)
+
+
+def k_cut_step(roots: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ells, new_roots) for cuts of shape (k, *roots.shape).
+
+    Each chain keeps the gap between its largest cut below the root and
+    its smallest cut at or above it, with sentinels 0 and 1.
+    """
+    below = cuts < roots
+    lo = np.where(below, cuts, 0.0).max(axis=0)
+    hi = np.where(below, 1.0, cuts).min(axis=0)
+    ells = hi - lo
+    return ells, (roots - lo) / ells

@@ -18,7 +18,7 @@ from stochbisect.engine import (
 )
 from stochbisect.seeding import substream
 from stochbisect.stats import bootstrap_mean_ci, ks_critical_value, ks_statistic
-from step_oracle import skewed_dyadic
+from step_oracle import k_cut_step, skewed_dyadic
 
 
 class TestSkewedDyadic:
@@ -215,6 +215,27 @@ class TestPopulationStep:
         for r, ell, r_next in zip(roots, ells, new_roots):
             assert ell == (c if c >= r else 1.0 - c)
             assert r_next == skewed_dyadic(c, r)
+
+    @pytest.mark.parametrize("law", [Uniform(), Beta(2, 2), PointMass(0.375)],
+                             ids=lambda law: law.spec)
+    @pytest.mark.parametrize("shape", [(600,), (20, 30)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_gap_matches_the_masked_reduction(self, k, shape, law):
+        # The running in-place max/min over cut rows gives the masked
+        # reduction's gap bit for bit, ties c == r and end roots included.
+        cuts = law.sample(substream(4, "gap", k), size=k * math.prod(shape))
+        assert np.all((cuts > 0.0) & (cuts < 1.0))  # so the step redraws none
+        cuts = cuts.reshape(k, *shape)
+        roots = substream(4, "gap-roots", k).uniform(size=shape)
+        flat = roots.reshape(-1)
+        flat[::5] = cuts[0].reshape(-1)[::5]
+        flat[2::5] = cuts[-1].reshape(-1)[2::5]
+        flat[1], flat[3] = 0.0, 1.0
+        ells, new_roots = population_step(roots, law, substream(4, "gap", k), k)
+        want_ells, want_roots = k_cut_step(roots, cuts)
+        assert ells.shape == new_roots.shape == shape
+        assert np.array_equal(ells, want_ells)
+        assert np.array_equal(new_roots, want_roots)
 
     def test_beta22_cut_mean_scaling(self):
         rng = substream(3, "beta22")

@@ -19,6 +19,8 @@ from stochbisect.experiments import (
 )
 from stochbisect.seeding import substream
 
+import report_oracle
+
 SEED = 424242  # tests here only need reproducibility, not specific outcomes
 
 
@@ -45,6 +47,16 @@ class TestReportSerialization:
             report.add_series("x", ["a", "b"], [(1.0, 2.0, 3.0)])
         with pytest.raises(ValueError):
             report.add_series("x", ["a", "b"], [(1.0, 2.0), (3.0,)])
+        with pytest.raises(ValueError):
+            report.add_series("x", [], [()])
+        assert report.series == {}
+
+    @pytest.mark.parametrize("name", ["a,b", 'say "x"', "a\rb", "a\nb"],
+                             ids=["comma", "quote", "cr", "lf"])
+    def test_series_name_needs_no_csv_quoting(self, name):
+        report = ex.ExperimentReport("x", {})
+        with pytest.raises(ValueError):
+            report.add_series(name, ["a"], [(1.0,)])
         assert report.series == {}
 
     def test_every_series_is_a_float_array(self):
@@ -289,6 +301,15 @@ def _readme_commands() -> list[list[str]]:
             if line.startswith("stochbisect ")]
 
 
+def _runner_call(argv: list[str]):
+    """(runner, keyword arguments) that the CLI would call for `argv`."""
+    args = vars(build_parser().parse_args(argv))
+    run = args.pop("run")
+    for key in ("command", "format", "out"):
+        del args[key]
+    return run, args
+
+
 def _runner_flags() -> list[tuple[str, str, inspect.Parameter]]:
     """(subcommand, flag, runner parameter) for every runner parameter."""
     return [(name, "--" + param.name.replace("_", "-"), param)
@@ -325,10 +346,7 @@ class TestParser:
         commands = _readme_commands()
         assert sorted(argv[0] for argv in commands) == sorted(_subparsers())
         for argv in commands:
-            args = vars(build_parser().parse_args(argv))
-            run = args.pop("run")
-            for key in ("command", "format", "out"):
-                del args[key]
+            run, args = _runner_call(argv)
             inspect.signature(run).bind(**args)
 
     @pytest.mark.parametrize("name", sorted(_subparsers()))
@@ -544,3 +562,47 @@ class TestCli:
         code = main(["contraction", "--dist", f"empirical:{data}", "--runs", "20",
                      "--iters", "5", "--seed", str(SEED), "--out", str(out)])
         assert code == EXIT_OK
+
+
+# Floats whose repr takes each of Python's spellings: signed zero, the least
+# subnormal, exponent forms at both ends and the shortest round-trip digits.
+_AWKWARD = [-0.0, 5e-324, 1e-300, 1e-5, 0.1, 1e16, 1e22, 123456789.0]
+
+
+class TestCsvWriterOracle:
+    """`report_to_csv` prints the bytes csv.writer prints for the same report."""
+
+    @staticmethod
+    def _check(report):
+        text = report_to_csv(report)
+        want = report_oracle.report_to_csv(report)
+        if text != want:  # name the first differing line, not a diff of megabytes
+            got_lines, want_lines = text.splitlines(), want.splitlines()
+            first = next((i for i, pair in enumerate(zip(got_lines, want_lines))
+                          if pair[0] != pair[1]), min(len(got_lines), len(want_lines)))
+            pytest.fail(f"line {first} differs from csv.writer's: "
+                        f"{got_lines[first:first + 1]} != {want_lines[first:first + 1]}")
+        assert parse_report_csv(text) == report.to_payload()
+
+    @pytest.mark.parametrize("cols", [1, 14])
+    def test_awkward_floats(self, cols):
+        values = _AWKWARD + [-v for v in _AWKWARD]
+        report = ex.ExperimentReport("x", {"note": "a,b"}, notes=['say "x"'])
+        report.add_series("awkward", [f"c{j}" for j in range(cols)],
+                          np.resize(values, (len(values), cols)))
+        self._check(report)
+
+    @pytest.mark.parametrize("cols", [1, 14])
+    @pytest.mark.parametrize("n", [0, 1, ex._CSV_CHUNK_ROWS - 1, ex._CSV_CHUNK_ROWS,
+                                   ex._CSV_CHUNK_ROWS + 1])
+    def test_row_counts_around_the_chunk(self, n, cols):
+        rows = substream(n, "csv-rows", cols).standard_normal(size=(n, cols))
+        report = ex.ExperimentReport("x", {})
+        report.add_series("first", [f"c{j}" for j in range(cols)], rows)
+        report.add_series("second", ["v"], rows[:, :1] ** 3)
+        self._check(report)
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+    def test_readme_commands(self, argv):
+        run, args = _runner_call(argv)
+        self._check(run(**args))

@@ -153,6 +153,23 @@ class TestKsStatistic:
         with pytest.raises(DegenerateSampleError):
             ks_statistic([])
 
+    @pytest.mark.parametrize("samples", [[0.1, math.nan, 0.5], [0.1, 1.5, 0.5],
+                                         [-0.1, 0.5]], ids=["nan", "above", "below"])
+    def test_sample_outside_unit_interval_rejected(self, samples):
+        with pytest.raises(DegenerateSampleError):
+            ks_statistic(samples)
+
+    def test_unit_interval_ends_accepted(self):
+        assert ks_statistic([0.0, 1.0]) == 0.5
+
+    @pytest.mark.parametrize("m", [1, 3, 10, 1000, 4097])
+    def test_grid_matches_the_two_index_forms(self, m):
+        # One arange(m + 1) / m grid gives i / m and (i - 1) / m bit for bit.
+        samples = np.sort(substream(m, "ks-grid").uniform(size=m))
+        i = np.arange(1, m + 1)
+        want = float(max(np.max(i / m - samples), np.max(samples - (i - 1) / m)))
+        assert ks_statistic(samples) == want
+
 
 class TestExponentialFit:
     def test_exact_geometric_sequence(self):
@@ -172,6 +189,10 @@ class TestExponentialFit:
             fit_exponential_decay([1.0, 0.0, 0.5])
         with pytest.raises(ValueError):
             fit_exponential_decay([0.5])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            fit_exponential_decay([0.5, math.nan, 0.1, 0.05])
 
 
 class TestCorrelationMatrix:
@@ -196,6 +217,25 @@ class TestCorrelationMatrix:
             correlation_matrix([[1.0, 2.0], [1.0]])
         with pytest.raises(DegenerateSampleError):
             correlation_matrix([[1.0, 1.0], [0.2, 0.9]])
+
+    @pytest.mark.parametrize("value,n", [(0.1, 3), (0.7, 7), (0.9, 1000)])
+    def test_constant_column_with_rounded_std_rejected(self, value, n):
+        # np.std of these constant columns is a rounding residue, not 0.
+        column = np.full(n, value)
+        assert column.std() > 0.0
+        with pytest.raises(DegenerateSampleError):
+            correlation_matrix([column, np.arange(float(n))])
+
+    def test_column_list_and_array_agree(self):
+        data = substream(4, "corr-forms").uniform(size=(5, 40))
+        assert np.array_equal(correlation_matrix(list(data)), correlation_matrix(data))
+
+    @pytest.mark.parametrize("columns", [[[1.0, 2.0, 3.0], [1.0, 2.0]],
+                                         [np.arange(3.0), np.arange(4.0)]],
+                             ids=["lists", "arrays"])
+    def test_ragged_columns_raise_degenerate_sample(self, columns):
+        with pytest.raises(DegenerateSampleError):
+            correlation_matrix(columns)
 
 
 class TestQqPoints:

@@ -9,7 +9,9 @@ layer in `markov` both read the measure directly, and pass the known
 kinks of an integrand as breakpoints. Every density measure comes from
 one Gauss-Legendre builder on [0, hi], `_gauss_measure`: Uniform and
 Bates use [0, 1], and Beta joins [0, 1/2] of itself to [0, 1/2] of
-Beta(b, a) mirrored by x -> 1 - x.
+Beta(b, a) mirrored by x -> 1 - x. The Beta CDF is the regularized
+incomplete beta, evaluated by Lentz's continued fraction, so the runtime
+needs numpy alone.
 
 All parameters are validated at construction; instances are immutable and
 safe to share across workers. Randomness always comes from a caller-owned
@@ -23,8 +25,6 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 
 import numpy as np
-
-from .special import log_beta, regularized_incomplete_beta
 
 __all__ = [
     "DomainError",
@@ -110,9 +110,39 @@ def _beta_half(a: float, b: float, log_beta: float, breakpoints: np.ndarray):
         inside = breakpoints[(breakpoints > 0.0) & (breakpoints < 0.5)]
         u, wu = _gauss_measure(0.5 ** a, [e ** a for e in inside.tolist()], graded=True)
         x = u ** (1.0 / a)
-        return x, wu * np.exp((b - 1.0) * np.log1p(-x) - log_beta) / a
+        return x, wu * _beta_density(x, 1.0, b, log_beta) / a
     x, wx = _gauss_measure(0.5, breakpoints, graded=a > 1.0 and a != round(a))
     return x, wx * _beta_density(x, a, b, log_beta)
+
+
+_BETACF_MAX_ITER = 300
+_BETACF_TOL = 1e-14
+_TINY = 1e-300  # Lentz's stand-in for a zero denominator
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method.
+
+    Each pass takes the even term d_2m, then the odd term d_2m+1, and the
+    fraction has converged once an odd term changes it by under `_BETACF_TOL`.
+    """
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c, d = 1.0, 1.0 - qab * x / qap
+    d = h = 1.0 / (_TINY if abs(d) < _TINY else d)
+    for m in range(1, _BETACF_MAX_ITER + 1):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = 1.0 / (_TINY if abs(d) < _TINY else d)
+            c = 1.0 + aa / c
+            c = _TINY if abs(c) < _TINY else c
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _BETACF_TOL:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}")
 
 
 class Distribution(ABC):
@@ -197,6 +227,11 @@ class Beta(Distribution):
     shapes are at most 1, so tiny shapes never draw 0/0; a draw closer to
     an endpoint than a double resolves is exactly 0 or 1.
 
+    The CDF is the regularized incomplete beta I_x(a, b), from Lentz's
+    continued fraction (`_betacf`) below (a+1)/(a+b+2), where it converges
+    fastest, and from the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) above;
+    it is exact at 0 and 1.
+
     Quadrature builds each half of [0, 1] from its own endpoint
     (`_beta_half`), removing the singularity of a sub-1 shape with the
     substitution x = u^(1/a) (resp. 1 - x = v^(1/b)), after which the
@@ -209,7 +244,7 @@ class Beta(Distribution):
             raise ValueError(f"Beta shapes must be positive finite, got ({a}, {b})")
         self.a = a
         self.b = b
-        self._log_beta = log_beta(a, b)
+        self._log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
     @property
     def spec(self) -> str:
@@ -219,7 +254,13 @@ class Beta(Distribution):
         return rng.beta(self.a, self.b, size=size)
 
     def cdf(self, x):
-        return regularized_incomplete_beta(self.a, self.b, self._check_domain(x))
+        x, a, b = self._check_domain(x), self.a, self.b
+        if x == 0.0 or x == 1.0:
+            return 0.0 if x == 0.0 else 1.0  # exact, and +0.0 at -0.0
+        front = math.exp(a * math.log(x) + b * math.log1p(-x) - self._log_beta)
+        if x < (a + 1.0) / (a + b + 2.0):
+            return front * _betacf(a, b, x) / a
+        return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
     def moments(self):
         a, b = self.a, self.b

@@ -5,8 +5,9 @@ Kolmogorov-Smirnov statistic against the uniform law, log-linear fits for
 exponential decay, Pearson correlation matrices, and Q-Q plotting data.
 Q-Q data comes back as an (M, 2) float array, the (rows x columns) form
 of a report series. The KS statistic needs a sample in [0, 1] and the
-decay fit strictly positive values; NaN fails both. A correlation column
-is constant, and rejected, when its minimum equals its maximum.
+decay fit strictly positive values; NaN fails both. Correlation and Q-Q
+data reject NaN and infinite values, and a correlation column is
+constant, and rejected, when its minimum equals its maximum.
 
 The statistical conventions are this module's constants: every interval
 has level `LEVEL` (0.95), the bootstrap draws `RESAMPLES` (2000) resampled
@@ -176,9 +177,9 @@ def correlation_matrix(columns: Sequence[Sequence[float]]) -> np.ndarray:
 
     `columns` is a sequence of 1-D columns or a (k, n) array, one column
     per row; a float array is used as given, not stacked into a copy. A
-    column whose minimum equals its maximum is constant and raises
-    `DegenerateSampleError`, as do fewer than two columns, columns
-    shorter than two, and columns of different lengths.
+    column holding NaN or an infinity raises `DegenerateSampleError`, as
+    does a constant column (its minimum equals its maximum), fewer than
+    two columns, columns shorter than two, and columns of different lengths.
     """
     if len(columns) < 2:
         raise DegenerateSampleError("need at least two columns")
@@ -188,17 +189,27 @@ def correlation_matrix(columns: Sequence[Sequence[float]]) -> np.ndarray:
         raise DegenerateSampleError("columns must share one length >= 2") from None
     if data.ndim != 2 or data.shape[1] < 2:
         raise DegenerateSampleError("columns must be 1-D and share one length >= 2")
-    if np.any(data.min(axis=1) == data.max(axis=1)):
+    lo, hi = data.min(axis=1), data.max(axis=1)
+    # NaN reaches both ends of its column and an infinity one of them.
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise DegenerateSampleError("every column must be finite")
+    if np.any(lo == hi):
         raise DegenerateSampleError("every column needs nonzero variance")
     corr = np.corrcoef(data)
     return np.clip(corr, -1.0, 1.0)
 
 
 def qq_points(samples: Sequence[float]) -> np.ndarray:
-    """Uniform Q-Q data: an (M, 2) array of rows ((i - 0.5) / M, i-th order statistic)."""
+    """Uniform Q-Q data: an (M, 2) array of rows ((i - 0.5) / M, i-th order statistic).
+
+    A sample holding NaN or an infinity raises `DegenerateSampleError`.
+    """
     samples = np.sort(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise DegenerateSampleError("Q-Q plot needs a nonempty sample")
+    # -inf sorts first, +inf and NaN last, so the two ends catch them all.
+    if not (math.isfinite(samples[0]) and math.isfinite(samples[-1])):
+        raise DegenerateSampleError("Q-Q plot needs a finite sample")
     m = samples.size
     positions = (np.arange(1, m + 1) - 0.5) / m
     return np.column_stack((positions, samples))

@@ -1,7 +1,10 @@
 import importlib
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,29 @@ def test_module_exports_exist(name):
 
 def test_package_exports_exist():
     assert [attr for attr in stochbisect.__all__ if not hasattr(stochbisect, attr)] == []
+
+
+# Imports every stochbisect module in a fresh interpreter and prints the
+# top-level names it added outside the standard library. The diff against the
+# start-up modules leaves out what site hooks preload.
+_THIRD_PARTY_PROBE = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import stochbisect
+for info in pkgutil.iter_modules(stochbisect.__path__):
+    importlib.import_module(f"stochbisect.{info.name}")
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(added - set(sys.stdlib_module_names))))
+"""
+
+
+def test_runtime_needs_numpy_alone():
+    # pyproject.toml declares numpy as the one runtime dependency.
+    src = Path(__file__).parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", _THIRD_PARTY_PROBE], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert set(result.stdout.split()) == {"numpy", "stochbisect"}
 
 
 def test_readme_library_example_runs(capsys):

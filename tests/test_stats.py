@@ -226,6 +226,15 @@ class TestCorrelationMatrix:
         with pytest.raises(DegenerateSampleError):
             correlation_matrix([column, np.arange(float(n))])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_column_rejected(self, bad):
+        # np.corrcoef turns NaN into a NaN matrix without a warning, and an
+        # infinity into the same matrix with only a RuntimeWarning.
+        with pytest.raises(DegenerateSampleError):
+            correlation_matrix([[0.1, bad, 0.3], [1.0, 2.0, 3.0]])
+        with pytest.raises(DegenerateSampleError):
+            correlation_matrix(np.array([[1.0, 2.0, 3.0], [bad, bad, bad]]))
+
     def test_column_list_and_array_agree(self):
         data = substream(4, "corr-forms").uniform(size=(5, 40))
         assert np.array_equal(correlation_matrix(list(data)), correlation_matrix(data))
@@ -258,3 +267,10 @@ class TestQqPoints:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateSampleError):
             qq_points([])
+
+    @pytest.mark.parametrize("samples", [[0.1, math.nan], [0.1, math.inf], [-math.inf, 0.2],
+                                         [math.nan, 0.5, -math.inf]])
+    def test_non_finite_rejected(self, samples):
+        # np.sort keeps each of them as an order statistic.
+        with pytest.raises(DegenerateSampleError):
+            qq_points(samples)

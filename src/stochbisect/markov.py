@@ -19,6 +19,11 @@ or by quadrature, depending on the cut law:
   reflected CDF R(y) = 1 - G(1 - y) turns the upper branch into
   G(t + (1-t) c) = 1 - R((1-t)(1-c)), and sum_m w_m G(c_m) = S[G](1), so
   T G(t) = S[G](t) - S[G](1) + sum_m w_m - S[R](1 - t).
+  The two scale mixtures are independent, so `apply_operator` computes
+  S[R] on a second thread while the calling thread computes S[G]. numpy
+  releases the interpreter lock in their array work, and each runs the
+  same operations in the same order as it would alone, so the result is
+  bit-identical to evaluating them one after the other.
 
 The rate bound watches the bands [0, DELTA) and (1 - DELTA, 1] with the
 fixed band width `DELTA` = 1/4.
@@ -27,6 +32,7 @@ fixed band width `DELTA` = 1/4.
 from __future__ import annotations
 
 import logging
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -140,6 +146,10 @@ def _scale_mixture(g: np.ndarray, pts: np.ndarray, wts: np.ndarray) -> np.ndarra
     In grid units t_i c_m sits at i c_m <= i, so its cell is the integer
     part: no search and no clip. The last node gets slope 0; only c_m = 1
     at t = 1 lands on it. Cut nodes go in blocks, so memory stays O(N + M).
+
+    `apply_operator` runs this off the calling thread, so it must call only
+    numpy: never a public function of this package, which a span tracer
+    may wrap with state that is not thread-safe.
     """
     n = g.size
     slope = np.append(np.diff(g), 0.0)
@@ -161,7 +171,10 @@ def apply_operator(grid_cdf: GridCdf, cut_dist: Distribution) -> GridCdf:
 
     All paths integrate the piecewise-linear grid function exactly up to
     the cut-measure representation; the output is clamped nondecreasing
-    and the clamp magnitude is required to stay below 1e-9.
+    and the clamp magnitude is required to stay below 1e-9. For a
+    non-uniform cut law the reflected scale mixture runs on a second
+    thread, joined before this returns or raises; its result is
+    bit-identical to the sequential one, and its exception is re-raised.
     """
     g = grid_cdf.values
     if isinstance(cut_dist, Uniform):
@@ -172,9 +185,23 @@ def apply_operator(grid_cdf: GridCdf, cut_dist: Distribution) -> GridCdf:
         out = np.pad(inner / t + (total - inner) / (1.0 - t) - total, 1)
     else:
         pts, wts = cut_dist.quadrature()
-        low = _scale_mixture(g, pts, wts)
-        high = _scale_mixture(1.0 - g[::-1], 1.0 - pts, wts)
-        out = low - low[-1] + wts.sum() - high[::-1]
+        reflected = {}
+
+        def reflect():
+            try:
+                reflected["high"] = _scale_mixture(1.0 - g[::-1], 1.0 - pts, wts)
+            except BaseException as exc:  # re-raised by the caller below
+                reflected["error"] = exc
+
+        worker = threading.Thread(target=reflect)
+        worker.start()
+        try:
+            low = _scale_mixture(g, pts, wts)
+        finally:
+            worker.join()
+        if "error" in reflected:
+            raise reflected["error"]
+        out = low - low[-1] + wts.sum() - reflected["high"][::-1]
     out[0], out[-1] = g[0], g[-1]
     return GridCdf(_repair_monotone(out))
 

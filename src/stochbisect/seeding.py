@@ -27,5 +27,14 @@ def substream(seed: int, *path: int | str) -> np.random.Generator:
     Calling twice with the same arguments yields identical streams; any
     change to the seed or to one path component yields an unrelated stream.
     """
-    entropy = [_encode(seed)] + [_encode(p) for p in path]
+    # The uint32 words numpy would make from the list of encoded parts (low
+    # word first, 0 as one word), built here so SeedSequence skips its
+    # per-element coercion: the streams are those of that list.
+    words = []
+    for part in (seed, *path):
+        value = _encode(part)
+        words.append(value & 0xFFFFFFFF)
+        if value >> 32:
+            words.append(value >> 32)
+    entropy = np.array(words, dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -1,8 +1,11 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from operator_oracle import apply_operator_to_function
-from stochbisect import theory
+from stochbisect import markov, theory
 from stochbisect.distributions import Bates, Beta, Empirical, PointMass, Uniform
 from stochbisect.markov import (
     EndpointAtomError,
@@ -151,6 +154,42 @@ class TestApplyOperator:
         assert ident.sup_distance_to_identity() < 1e-9
         hs = ell_cdf_general(grid, cut, np.linspace(0, 1, 9))
         assert np.all(np.diff(hs) >= -1e-12)
+
+    @pytest.mark.parametrize("cut", [Beta(2, 2), Bates(20), Beta(0.5, 2), PointMass(0.3),
+                                     pytest.param(Empirical(np.random.default_rng(5).uniform(
+                                         size=1000)), id="empirical-1000")],
+                             ids=lambda d: d.spec)
+    def test_threaded_branches_equal_sequential_evaluation(self, cut):
+        # At 2049 nodes a 64K-value block holds 31 cut nodes, so every law
+        # but the point mass walks several blocks in each branch.
+        grid = GridCdf.from_distribution(Beta(0.5, 2), N)
+        g = grid.values
+        pts, wts = cut.quadrature()
+        low = markov._scale_mixture(g, pts, wts)
+        high = markov._scale_mixture(1.0 - g[::-1], 1.0 - pts, wts)
+        seq = low - low[-1] + wts.sum() - high[::-1]
+        seq[0], seq[-1] = g[0], g[-1]
+        expected = GridCdf(np.maximum.accumulate(seq)).values
+        assert np.array_equal(apply_operator(grid, cut).values, expected)
+
+    @pytest.mark.parametrize("failing", ["reflected", "main"])
+    def test_branch_failure_raises_and_leaves_no_thread(self, monkeypatch, failing):
+        # point:0.3 tells the calls apart: the reflected one gets 1 - 0.3.
+        kernel = markov._scale_mixture
+
+        def flaky(g, pts, wts):
+            reflected = pts[0] > 0.5
+            if reflected == (failing == "reflected"):
+                raise MemoryError(failing)
+            if reflected:
+                time.sleep(0.2)  # still running when the main branch fails
+            return kernel(g, pts, wts)
+
+        monkeypatch.setattr(markov, "_scale_mixture", flaky)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match=failing):
+            apply_operator(cubic_grid(65), PointMass(0.3))
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("cut", [Uniform(), Beta(2, 2), Bates(5)],
                              ids=lambda d: d.spec)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochbisect.seeding import substream
+from stochbisect.seeding import _encode, substream
 
 
 def test_same_path_same_stream():
@@ -26,3 +26,21 @@ def test_run_indices_give_independent_looking_streams():
 def test_rejects_unhashable_parts():
     with pytest.raises(TypeError):
         substream(1, 2.5)
+
+
+EDGE_PATHS = [
+    (0,),
+    (0, 0, "", 0),
+    (-1, "tag", -(2**63)),
+    (2**32, 2**32 - 1, 2**32 + 1),
+    (2**64 - 1, 2**63, 2**64),
+    (np.int64(-5), np.uint64(2**64 - 1), np.int32(7), np.uint32(2**32 - 1)),
+    (7, "\u00fcmlaut", "\u8def\u5f84", "\U0001f3b2"),
+    (1, "solve", "cos", "beta:2,2", 17),
+]
+
+
+@pytest.mark.parametrize("path", EDGE_PATHS, ids=repr)
+def test_stream_is_numpys_derivation_from_the_encoded_parts(path):
+    expected = np.random.default_rng(np.random.SeedSequence([_encode(x) for x in path]))
+    assert np.array_equal(substream(*path).random(8), expected.random(8))

@@ -13,8 +13,14 @@ Beta(b, a) mirrored by x -> 1 - x. The Beta CDF is the regularized
 incomplete beta, evaluated by Lentz's continued fraction, so the runtime
 needs numpy alone.
 
-All parameters are validated at construction; instances are immutable and
-safe to share across workers. Randomness always comes from a caller-owned
+Each instance memoizes its measure: `quadrature` builds it once per
+breakpoint set, holds at most two breakpoint sets (the operator layer asks
+for exactly two, none for T and the grid nodes for H_k), and returns
+read-only arrays that every caller shares.
+
+All parameters are validated at construction; instances are immutable but
+for that memo, which is replaced whole, never edited, so they stay safe to
+share across workers. Randomness always comes from a caller-owned
 `numpy.random.Generator`.
 """
 
@@ -53,6 +59,7 @@ class SpecError(ValueError):
 
 
 _GL_POINTS, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_HELD_MEASURES = 2
 _MIN_PANELS = 64
 _GRADING = 2.0 ** -np.arange(48, 0, -1)  # 2^-48, ..., 2^-1
 
@@ -148,6 +155,9 @@ def _betacf(a: float, b: float, x: float) -> float:
 class Distribution(ABC):
     """A cut/root law on [0, 1]."""
 
+    # ((breakpoint bytes, (points, weights)), ...), newest first; see `quadrature`.
+    _measures: tuple = ()
+
     @property
     @abstractmethod
     def spec(self) -> str:
@@ -168,7 +178,11 @@ class Distribution(ABC):
     def pdf(self, x) -> float | np.ndarray:
         raise NoDensityError(f"{self.spec} has no density")
 
-    @abstractmethod
+    def mass_at(self, x: float) -> float:
+        """P[X = x] for x in [0, 1]: 0 for a law with a density."""
+        self._check_domain(x)
+        return 0.0
+
     def quadrature(self, breakpoints: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
         """Discrete measure (points, weights) representing dF.
 
@@ -179,7 +193,33 @@ class Distribution(ABC):
         accurately, and geometrically graded panels next to an endpoint
         where the density is singular. The points strictly increase, and
         the weights are nonnegative and sum to 1 up to rounding.
+
+        The measure is memoized per instance, keyed by the float64 bytes of
+        the raveled breakpoints: a repeated call returns the same two
+        arrays, which are read-only, and the instance holds the measures of
+        at most two breakpoint sets, dropping the oldest build for a third.
         """
+        cuts = np.asarray(breakpoints, dtype=float).ravel()
+        key = cuts.tobytes()
+        for held_key, measure in self._measures:
+            if held_key == key:
+                return measure
+        measure = self._measure(cuts)
+        for array in measure:
+            array.flags.writeable = False
+        self._measures = ((key, measure), *self._measures[:_HELD_MEASURES - 1])
+        return measure
+
+    @abstractmethod
+    def _measure(self, breakpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Build the measure `quadrature` memoizes, for a 1-D float array of breakpoints."""
+
+    def __getstate__(self):
+        # numpy restores a pickled or copied array writeable, so a copy of the
+        # law starts with no memo and builds read-only arrays of its own.
+        state = self.__dict__.copy()
+        state.pop("_measures", None)
+        return state
 
     def _check_domain(self, x: float) -> float:
         x = float(x)
@@ -215,7 +255,7 @@ class Uniform(Distribution):
         out = np.ones_like(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
-    def quadrature(self, breakpoints=()):
+    def _measure(self, breakpoints):
         return _merge_ties(*_gauss_measure(1.0, breakpoints))  # density 1
 
 
@@ -272,13 +312,12 @@ class Beta(Distribution):
         out = _beta_density(np.asarray(x, dtype=float), self.a, self.b, self._log_beta)
         return out if out.ndim else float(out)
 
-    def quadrature(self, breakpoints=()):
+    def _measure(self, breakpoints):
         # [1/2, 1] under Beta(a, b) is [0, 1/2] under Beta(b, a), mirrored by
         # x -> 1 - x (exact for breakpoints in [1/2, 1]), so each half is built
         # from its own endpoint and its singular factor is always x^(shape-1).
-        cuts = np.asarray(breakpoints, dtype=float).ravel()
-        x, wx = _beta_half(self.a, self.b, self._log_beta, cuts)
-        y, wy = _beta_half(self.b, self.a, self._log_beta, 1.0 - cuts)
+        x, wx = _beta_half(self.a, self.b, self._log_beta, breakpoints)
+        y, wy = _beta_half(self.b, self.a, self._log_beta, 1.0 - breakpoints)
         return _merge_ties(np.concatenate((x, 1.0 - y)), np.concatenate((wx, wy)))
 
 
@@ -369,7 +408,7 @@ class Bates(Distribution):
         out = self.n * self._folded_sum(x, self.n - 1)[1]
         return out if out.ndim else float(out)
 
-    def quadrature(self, breakpoints=()):
+    def _measure(self, breakpoints):
         pts, wts = _gauss_measure(1.0, np.append(breakpoints, np.arange(1, self.n) / self.n))
         return _merge_ties(pts, wts * self.pdf(pts))
 
@@ -396,7 +435,10 @@ class PointMass(Distribution):
     def moments(self):
         return self.c, 0.0
 
-    def quadrature(self, breakpoints=()):
+    def mass_at(self, x):
+        return 1.0 if self._check_domain(x) == self.c else 0.0
+
+    def _measure(self, breakpoints):
         return np.array([self.c]), np.array([1.0])
 
 
@@ -414,9 +456,8 @@ class Empirical(Distribution):
         if not (values[0] >= 0.0 and values[-1] <= 1.0):
             raise ValueError("empirical samples must be finite and lie in [0, 1]")
         self.samples = values
+        self.samples.flags.writeable = False
         self._atoms = _merge_ties(values, np.full(values.size, 1.0 / values.size))
-        for array in (self.samples, *self._atoms):
-            array.flags.writeable = False
 
     @property
     def spec(self) -> str:
@@ -435,8 +476,13 @@ class Empirical(Distribution):
         var = float(self.samples.var())
         return mu, var
 
-    def quadrature(self, breakpoints=()):
-        return self._atoms
+    def mass_at(self, x):
+        x = self._check_domain(x)
+        return float(np.searchsorted(self.samples, x, side="right")
+                     - np.searchsorted(self.samples, x, side="left")) / self.samples.size
+
+    def _measure(self, breakpoints):
+        return self._atoms  # the same atoms for every breakpoint set
 
 
 def parse_spec(text: str) -> Distribution:

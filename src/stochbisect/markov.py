@@ -61,7 +61,7 @@ _ENDPOINT_TOL = 1e-12
 
 
 class EndpointAtomError(ValueError):
-    """Starting CDF has mass at 0, or the cut law has all its mass at 0 and 1."""
+    """Starting law has mass at 0 or 1, or the cut law has all its mass at 0 and 1."""
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,14 @@ class GridCdf:
 
     @staticmethod
     def from_distribution(dist: Distribution, grid_size: int) -> "GridCdf":
+        """dist's CDF at the grid nodes; a law with an atom at 1 raises EndpointAtomError.
+
+        The grid pins G(1) = 1, so it would spread such an atom over the
+        last cell, and a root that never moves would seem to converge.
+        """
+        atom = dist.mass_at(1.0)
+        if atom > 0.0:
+            raise EndpointAtomError(f"{dist.spec} has mass at 1: P[X = 1] = {atom!r}")
         nodes = np.linspace(0.0, 1.0, grid_size)
         return GridCdf(np.array([dist.cdf(x) for x in nodes]))
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from stochbisect.distributions import (
     _irwin_hall,
     parse_spec,
 )
+from stochbisect.markov import GridCdf, hn_mean_var, iterate_operator
 from stochbisect.seeding import substream
 from stochbisect.stats import ks_statistic
 
@@ -331,12 +334,120 @@ MEASURE_LAWS = (
 
 @pytest.mark.parametrize("dist", MEASURE_LAWS, ids=lambda d: d.spec)
 def test_quadrature_is_a_measure_on_distinct_increasing_nodes(dist):
+    # A copy's memo goes with the test: the 284 shared laws would otherwise
+    # each keep their two largest measures for the rest of the session.
+    dist = copy.copy(dist)
     for name, breakpoints in BREAKPOINT_SETS.items():
         pts, wts = dist.quadrature(breakpoints)
         assert pts.shape == wts.shape, name
         assert np.all(np.diff(pts) > 0.0), name
         assert np.all(wts >= 0.0), name
         assert abs(wts.sum() - 1.0) < 1e-12, name
+
+
+# One fresh instance per call, so no memo carries over between tests.
+FRESH_LAWS = {
+    "uniform": Uniform,
+    "beta:2,2": lambda: Beta(2, 2),
+    "beta:0.5,2": lambda: Beta(0.5, 2),
+    "bates:20": lambda: Bates(20),
+    "point:0.3": lambda: PointMass(0.3),
+    "empirical": lambda: Empirical([0.1, 0.2, 0.2, 0.9]),
+}
+ELL_257 = BREAKPOINT_SETS["ell-257"]
+
+
+def _bits(measure):
+    return [(array.dtype, array.shape, array.tobytes()) for array in measure]
+
+
+def _count_builds(monkeypatch, cls) -> list:
+    """The breakpoints of every measure `cls` builds from now on, as lists."""
+    builds = []
+    build = cls._measure
+
+    def counting(self, breakpoints):
+        builds.append(breakpoints.tolist())
+        return build(self, breakpoints)
+
+    monkeypatch.setattr(cls, "_measure", counting)
+    return builds
+
+
+class TestQuadratureMemo:
+    @pytest.mark.parametrize("make", FRESH_LAWS.values(), ids=FRESH_LAWS.keys())
+    def test_held_measure_is_bitwise_a_fresh_build(self, make):
+        law = make()
+        built = {breakpoints: law.quadrature(breakpoints) for breakpoints in ((), ELL_257)}
+        for breakpoints, measure in built.items():
+            # Any container with the same raveled float64 values is one key.
+            for same in (breakpoints, list(breakpoints),
+                         np.asarray(breakpoints, dtype=float).reshape(-1, 1)):
+                held = law.quadrature(same)
+                assert all(h is b for h, b in zip(held, measure))
+            assert _bits(measure) == _bits(make().quadrature(breakpoints))
+
+    @pytest.mark.parametrize("make", FRESH_LAWS.values(), ids=FRESH_LAWS.keys())
+    def test_returned_arrays_are_read_only(self, make):
+        law = make()
+        for breakpoints in ((), (0.3,)):
+            for array in law.quadrature(breakpoints):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.5
+
+    @pytest.mark.parametrize("make", FRESH_LAWS.values(), ids=FRESH_LAWS.keys())
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda law: pickle.loads(pickle.dumps(law))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_read_only_measures(self, make, duplicate):
+        # numpy restores a pickled or copied array writeable; the copy must
+        # not hand those out as its memo.
+        law = make()
+        measure = law.quadrature((0.3,))
+        twin = duplicate(law)
+        held = twin.quadrature((0.3,))
+        assert not any(array.flags.writeable for array in held)
+        assert _bits(held) == _bits(measure)
+
+    @pytest.mark.parametrize("make", FRESH_LAWS.values(), ids=FRESH_LAWS.keys())
+    def test_holds_at_most_two_measures(self, make, monkeypatch):
+        law = make()
+        builds = _count_builds(monkeypatch, type(law))
+        for breakpoints in [(), (0.3,), (), (0.3,), (0.5,), (0.3,), ()]:
+            law.quadrature(breakpoints)
+            assert len(law._measures) <= 2
+        # (0.5,) drops the oldest build, (), which the last call rebuilds.
+        assert builds == [[], [0.3], [0.5], []]
+
+    def test_operator_run_builds_each_measure_once(self, monkeypatch):
+        builds = _count_builds(monkeypatch, Bates)
+        law = Bates(20)
+        start = GridCdf.from_callable(lambda t: t * (4 * t * t - 6 * t + 3), 257)
+        for iterate in iterate_operator(start, law, 5):
+            hn_mean_var(iterate, law)
+        # T reads the measure without breakpoints, H_k the one on the grid.
+        assert [len(cuts) for cuts in builds] == [0, 3 * 257]
+
+
+class TestMassAt:
+    @pytest.mark.parametrize("dist", PARAMETRIC, ids=lambda d: d.spec)
+    def test_density_laws_have_no_atoms(self, dist):
+        assert [dist.mass_at(x) for x in (0.0, 0.5, 1.0)] == [0.0, 0.0, 0.0]
+
+    def test_point_mass_is_one_atom(self):
+        assert PointMass(0.3).mass_at(0.3) == 1.0
+        assert PointMass(0.3).mass_at(math.nextafter(0.3, 1.0)) == 0.0
+        assert PointMass(1.0).mass_at(1.0) == 1.0
+
+    def test_empirical_counts_ties(self):
+        emp = Empirical([0.4, 1.0, 0.2, 0.4, 0.8])
+        assert [emp.mass_at(x) for x in (0.4, 1.0, 0.2, 0.5, 0.0)] == [0.4, 0.2, 0.2, 0.0, 0.0]
+
+    @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.spec)
+    def test_domain_error(self, dist):
+        for x in (-0.1, 1.1, math.nan):
+            with pytest.raises(DomainError):
+                dist.mass_at(x)
 
 
 class TestStieltjesExpectation:

@@ -500,6 +500,18 @@ class TestCli:
                      "--k", "2", "--grid", "257"])
         assert code == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("values", [None, "0.3\n1.0\n0.5\n"], ids=["point", "empirical"])
+    def test_operator_root_atom_at_one_exits_3(self, values, tmp_path, capsys):
+        # A root at 1 never moves; the grid CDF used to hide it as a ramp on
+        # the last cell and report a distance shrinking towards 0.
+        g0 = "point:1"
+        if values is not None:
+            (tmp_path / "roots.csv").write_text(values)
+            g0 = f"empirical:{tmp_path / 'roots.csv'}"
+        code = main(["operator", "--g0", g0, "--dist", "uniform", "--k", "3", "--grid", "65"])
+        assert code == EXIT_NUMERICAL
+        assert "mass at 1" in capsys.readouterr().err
+
     def test_operator_endpoint_only_empirical_exits_3(self, tmp_path, capsys):
         # Cuts only at 0 and 1 give q = 0: T is the identity and never contracts.
         data = tmp_path / "cuts.csv"

@@ -1,9 +1,13 @@
+import importlib
+import inspect
+import pkgutil
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import stochbisect
 from operator_oracle import apply_operator_to_function
 from stochbisect import markov, theory
 from stochbisect.distributions import Bates, Beta, Empirical, PointMass, Uniform
@@ -44,6 +48,24 @@ class BareMeasure:
         return self.measure
 
 
+def _public_code() -> set:
+    """Code of every public function and public class method in the package."""
+    codes = set()
+    for info in pkgutil.iter_modules(stochbisect.__path__):
+        module = importlib.import_module(f"stochbisect.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = [value]
+            if inspect.isclass(value):
+                members = [m for n, m in vars(value).items() if not n.startswith("_")]
+            for member in members:
+                member = getattr(member, "fget", getattr(member, "__func__", member))
+                if inspect.isfunction(member):
+                    codes.add(member.__code__)
+    return codes
+
+
 KERNEL_CUTS = [Uniform(), Beta(2, 2), Beta(0.5, 2), Beta(0.5, 0.5), Bates(20),
                PointMass(0.5), PointMass(0.3),
                Empirical([0.1, 0.25, 0.25, 0.5, 0.5, 0.5, 0.9])]
@@ -76,6 +98,20 @@ class TestGridCdf:
     def test_from_distribution_hits_cdf(self):
         grid = GridCdf.from_distribution(Beta(2, 2), 257)
         assert grid.values[128] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("root", [PointMass(1.0), Empirical([0.3, 1.0, 0.5])],
+                             ids=lambda d: d.spec)
+    def test_from_distribution_rejects_an_atom_at_one(self, root):
+        # The grid pins G(1) = 1, so the atom would become a ramp on the last
+        # cell that T then flattens, although a root at 1 never moves.
+        with pytest.raises(EndpointAtomError, match="mass at 1"):
+            GridCdf.from_distribution(root, 65)
+
+    @pytest.mark.parametrize("root, below_one", [(PointMass(0.999), 0.0),
+                                                 (Empirical([0.3, 0.999]), 0.5)],
+                             ids=["point:0.999", "empirical"])
+    def test_from_distribution_keeps_atoms_inside(self, root, below_one):
+        assert GridCdf.from_distribution(root, 65).values[-2] == below_one
 
     def test_node_integrals_exact_for_linear(self):
         grid = GridCdf.identity(101)
@@ -171,6 +207,26 @@ class TestApplyOperator:
         seq[0], seq[-1] = g[0], g[-1]
         expected = GridCdf(np.maximum.accumulate(seq)).values
         assert np.array_equal(apply_operator(grid, cut).values, expected)
+
+    def test_second_thread_runs_no_public_function(self):
+        # A public function of the package may be wrapped by a span tracer
+        # whose state is not thread-safe, and a law's `quadrature` memo
+        # changes on a miss: off the calling thread only numpy may run.
+        caller = threading.get_ident()
+        public = _public_code()
+        seen = []
+
+        def profile(frame, event, arg):
+            if event == "call" and threading.get_ident() != caller:
+                seen.append(frame.f_code)
+
+        threading.setprofile(profile)
+        try:
+            apply_operator(cubic_grid(257), Beta(2, 2))  # a fresh law builds its measure
+        finally:
+            threading.setprofile(None)
+        assert markov._scale_mixture.__code__ in seen  # the hook saw the worker
+        assert [code.co_name for code in seen if code in public] == []
 
     @pytest.mark.parametrize("failing", ["reflected", "main"])
     def test_branch_failure_raises_and_leaves_no_thread(self, monkeypatch, failing):

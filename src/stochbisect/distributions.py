@@ -13,20 +13,21 @@ Beta(b, a) mirrored by x -> 1 - x. The Beta CDF is the regularized
 incomplete beta, evaluated by Lentz's continued fraction, so the runtime
 needs numpy alone.
 
-Each instance memoizes its measure: `quadrature` builds it once per
-breakpoint set, holds at most two breakpoint sets (the operator layer asks
-for exactly two, none for T and the grid nodes for H_k), and returns
-read-only arrays that every caller shares.
+Each law's measure is memoized in a weak map keyed by the law: `quadrature`
+builds it once per breakpoint set, holds at most two (the operator layer
+asks for exactly two, none for T and the grid nodes for H_k), and returns
+read-only arrays that every caller shares. A copied or unpickled law is
+rebuilt by its constructor and starts with no measures.
 
-All parameters are validated at construction; instances are immutable but
-for that memo, which is replaced whole, never edited, so they stay safe to
-share across workers. Randomness always comes from a caller-owned
-`numpy.random.Generator`.
+All parameters are validated at construction and instances are immutable,
+so they are safe to share across workers. Randomness always comes from a
+caller-owned `numpy.random.Generator`.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 
@@ -60,6 +61,8 @@ class SpecError(ValueError):
 
 _GL_POINTS, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _HELD_MEASURES = 2
+# law -> ((breakpoint bytes, (points, weights)), ...), newest first; see `quadrature`.
+_MEASURES = weakref.WeakKeyDictionary()
 _MIN_PANELS = 64
 _GRADING = 2.0 ** -np.arange(48, 0, -1)  # 2^-48, ..., 2^-1
 
@@ -155,9 +158,6 @@ def _betacf(a: float, b: float, x: float) -> float:
 class Distribution(ABC):
     """A cut/root law on [0, 1]."""
 
-    # ((breakpoint bytes, (points, weights)), ...), newest first; see `quadrature`.
-    _measures: tuple = ()
-
     @property
     @abstractmethod
     def spec(self) -> str:
@@ -194,32 +194,26 @@ class Distribution(ABC):
         where the density is singular. The points strictly increase, and
         the weights are nonnegative and sum to 1 up to rounding.
 
-        The measure is memoized per instance, keyed by the float64 bytes of
-        the raveled breakpoints: a repeated call returns the same two
-        arrays, which are read-only, and the instance holds the measures of
-        at most two breakpoint sets, dropping the oldest build for a third.
+        The measure is memoized in a weak map keyed by the law, so it dies
+        with the law, and within that by the float64 bytes of the raveled
+        breakpoints: a repeated call returns the same two read-only arrays,
+        and a law holds at most two breakpoint sets, dropping the oldest.
         """
         cuts = np.asarray(breakpoints, dtype=float).ravel()
         key = cuts.tobytes()
-        for held_key, measure in self._measures:
+        held = _MEASURES.get(self, ())
+        for held_key, measure in held:
             if held_key == key:
                 return measure
         measure = self._measure(cuts)
         for array in measure:
             array.flags.writeable = False
-        self._measures = ((key, measure), *self._measures[:_HELD_MEASURES - 1])
+        _MEASURES[self] = ((key, measure), *held[:_HELD_MEASURES - 1])
         return measure
 
     @abstractmethod
     def _measure(self, breakpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Build the measure `quadrature` memoizes, for a 1-D float array of breakpoints."""
-
-    def __getstate__(self):
-        # numpy restores a pickled or copied array writeable, so a copy of the
-        # law starts with no memo and builds read-only arrays of its own.
-        state = self.__dict__.copy()
-        state.pop("_measures", None)
-        return state
 
     def _check_domain(self, x: float) -> float:
         x = float(x)
@@ -458,6 +452,9 @@ class Empirical(Distribution):
         self.samples = values
         self.samples.flags.writeable = False
         self._atoms = _merge_ties(values, np.full(values.size, 1.0 / values.size))
+
+    def __reduce__(self):  # numpy restores copied arrays writeable: rebuild read-only
+        return Empirical, (self.samples,)
 
     @property
     def spec(self) -> str:

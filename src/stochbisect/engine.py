@@ -65,16 +65,12 @@ def draw_cut(cut_dist: Distribution, rng: np.random.Generator) -> float:
     """One cut in the open interval (0, 1), redrawing endpoint values.
 
     Endpoint cuts stall the process (the interval never shrinks on one
-    side), so they are rejected; after 100 consecutive rejections the law
-    is considered degenerate and an error is raised.
+    side), so they are redrawn, one size-1 draw at a time, as `population_step`
+    redraws them: a cut is accepted if any of its first 1 + 100 draws lands
+    in (0, 1), else `CutRedrawError` is raised.
     """
-    for _ in range(_MAX_REDRAWS):
-        c = float(cut_dist.sample(rng))
-        if 0.0 < c < 1.0:
-            return c
-    raise CutRedrawError(
-        f"{cut_dist.spec} produced {_MAX_REDRAWS} consecutive cuts at 0 or 1"
-    )
+    c = float(cut_dist.sample(rng))
+    return c if 0.0 < c < 1.0 else float(_redraw_endpoints(np.array([c]), cut_dist, rng)[0])
 
 
 def _draw_cuts(cut_dist: Distribution, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -85,11 +81,12 @@ def _draw_cuts(cut_dist: Distribution, rng: np.random.Generator, size: int) -> n
 def _redraw_endpoints(
     cuts: np.ndarray, cut_dist: Distribution, rng: np.random.Generator
 ) -> np.ndarray:
-    for _ in range(_MAX_REDRAWS):
-        bad = (cuts <= 0.0) | (cuts >= 1.0)
+    for redraws in range(_MAX_REDRAWS + 1):
+        bad = ~((cuts > 0.0) & (cuts < 1.0))  # NaN is redrawn too
         if not bad.any():
             return cuts
-        cuts[bad] = cut_dist.sample(rng, size=int(bad.sum()))
+        if redraws < _MAX_REDRAWS:  # the last redraw is checked, never redrawn
+            cuts[bad] = cut_dist.sample(rng, size=int(bad.sum()))
     raise CutRedrawError(
         f"{cut_dist.spec} kept producing cuts at 0 or 1 after {_MAX_REDRAWS} redraws"
     )

@@ -19,11 +19,11 @@ or by quadrature, depending on the cut law:
   reflected CDF R(y) = 1 - G(1 - y) turns the upper branch into
   G(t + (1-t) c) = 1 - R((1-t)(1-c)), and sum_m w_m G(c_m) = S[G](1), so
   T G(t) = S[G](t) - S[G](1) + sum_m w_m - S[R](1 - t).
-  The two scale mixtures are independent, so `apply_operator` computes
-  S[R] on a second thread while the calling thread computes S[G]. numpy
-  releases the interpreter lock in their array work, and each runs the
-  same operations in the same order as it would alone, so the result is
-  bit-identical to evaluating them one after the other.
+  The two scale mixtures are independent, so `apply_operator` submits
+  S[R] to a one-worker `ThreadPoolExecutor` while the calling thread
+  computes S[G]. numpy releases the interpreter lock in their array work,
+  and each runs the same operations in the same order as it would alone,
+  so the result is bit-identical to evaluating them one after the other.
 
 The rate bound watches the bands [0, DELTA) and (1 - DELTA, 1] with the
 fixed band width `DELTA` = 1/4.
@@ -32,7 +32,6 @@ fixed band width `DELTA` = 1/4.
 from __future__ import annotations
 
 import logging
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -84,6 +83,9 @@ class GridCdf:
         values[-1] = 1.0
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    def __reduce__(self):  # numpy restores copied arrays writeable: rebuild read-only
+        return GridCdf, (self.values,)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -180,9 +182,10 @@ def apply_operator(grid_cdf: GridCdf, cut_dist: Distribution) -> GridCdf:
     All paths integrate the piecewise-linear grid function exactly up to
     the cut-measure representation; the output is clamped nondecreasing
     and the clamp magnitude is required to stay below 1e-9. For a
-    non-uniform cut law the reflected scale mixture runs on a second
-    thread, joined before this returns or raises; its result is
-    bit-identical to the sequential one, and its exception is re-raised.
+    non-uniform cut law the reflected scale mixture runs on a one-worker
+    executor, shut down before this returns or raises; its result is
+    bit-identical to the sequential one, and its error is re-raised
+    unless the calling thread's branch raised too.
     """
     g = grid_cdf.values
     if isinstance(cut_dist, Uniform):
@@ -192,24 +195,13 @@ def apply_operator(grid_cdf: GridCdf, cut_dist: Distribution) -> GridCdf:
         inner, total, t = integrals[1:-1], integrals[-1], grid_cdf.nodes[1:-1]
         out = np.pad(inner / t + (total - inner) / (1.0 - t) - total, 1)
     else:
+        # Imported on use: at module level it would add ~3 ms to every package import.
+        from concurrent.futures import ThreadPoolExecutor
         pts, wts = cut_dist.quadrature()
-        reflected = {}
-
-        def reflect():
-            try:
-                reflected["high"] = _scale_mixture(1.0 - g[::-1], 1.0 - pts, wts)
-            except BaseException as exc:  # re-raised by the caller below
-                reflected["error"] = exc
-
-        worker = threading.Thread(target=reflect)
-        worker.start()
-        try:
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            high = worker.submit(_scale_mixture, 1.0 - g[::-1], 1.0 - pts, wts)
             low = _scale_mixture(g, pts, wts)
-        finally:
-            worker.join()
-        if "error" in reflected:
-            raise reflected["error"]
-        out = low - low[-1] + wts.sum() - reflected["high"][::-1]
+        out = low - low[-1] + wts.sum() - high.result()[::-1]
     out[0], out[-1] = g[0], g[-1]
     return GridCdf(_repair_monotone(out))
 

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stochbisect.distributions import (
     PointMass,
     SpecError,
     Uniform,
+    _MEASURES,
     _gauss_measure,
     _irwin_hall,
     parse_spec,
@@ -400,14 +402,20 @@ class TestQuadratureMemo:
                                            lambda law: pickle.loads(pickle.dumps(law))],
                              ids=["copy", "deepcopy", "pickle"])
     def test_copies_keep_read_only_measures(self, make, duplicate):
-        # numpy restores a pickled or copied array writeable; the copy must
-        # not hand those out as its memo.
+        # numpy restores a pickled or copied array writeable; the copy is
+        # rebuilt by the constructor, so it starts with no memo and holds no
+        # array that can be written, its samples included.
         law = make()
         measure = law.quadrature((0.3,))
         twin = duplicate(law)
+        assert twin not in _MEASURES
         held = twin.quadrature((0.3,))
-        assert not any(array.flags.writeable for array in held)
         assert _bits(held) == _bits(measure)
+        arrays = [*held, *(value for value in vars(twin).values()
+                           if isinstance(value, np.ndarray))]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
 
     @pytest.mark.parametrize("make", FRESH_LAWS.values(), ids=FRESH_LAWS.keys())
     def test_holds_at_most_two_measures(self, make, monkeypatch):
@@ -415,9 +423,17 @@ class TestQuadratureMemo:
         builds = _count_builds(monkeypatch, type(law))
         for breakpoints in [(), (0.3,), (), (0.3,), (0.5,), (0.3,), ()]:
             law.quadrature(breakpoints)
-            assert len(law._measures) <= 2
+            assert len(_MEASURES[law]) <= 2
         # (0.5,) drops the oldest build, (), which the last call rebuilds.
         assert builds == [[], [0.3], [0.5], []]
+
+    def test_measures_die_with_the_law(self):
+        # A memo that outlived its law would keep the last command's
+        # measures alive into the next one.
+        law = Beta(2, 2)
+        points = weakref.ref(law.quadrature()[0])
+        del law
+        assert points() is None
 
     def test_operator_run_builds_each_measure_once(self, monkeypatch):
         builds = _count_builds(monkeypatch, Bates)

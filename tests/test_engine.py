@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from stochbisect.distributions import Bates, Beta, DomainError, PointMass, Uniform
+from stochbisect.distributions import Bates, Beta, DomainError, Empirical, PointMass, Uniform
 from stochbisect.engine import (
     BracketError,
     CutRedrawError,
     NonFiniteValueError,
+    _draw_cuts,
     bisection_run,
     draw_cut,
     multisection_step,
@@ -43,10 +44,68 @@ class TestSkewedDyadic:
         assert 0.0 <= skewed_dyadic(c, r) <= 1.0
 
 
+class ScriptedLaw:
+    """A cut law that plays back a fixed sequence of draws, honouring `size`."""
+
+    spec = "scripted"
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.draws = 0
+
+    def sample(self, rng, size=None):
+        start = self.draws
+        self.draws += 1 if size is None else size
+        return self.values[start] if size is None else np.array(self.values[start:self.draws])
+
+
+ONE_CUT = {"draw_cut": draw_cut,
+           "population": lambda law, rng: float(_draw_cuts(law, rng, 1)[0])}
+
+
 class TestDrawCut:
     def test_endpoint_law_errors_after_redraw_cap(self):
         with pytest.raises(CutRedrawError):
             draw_cut(PointMass(0.0), substream(0, "redraw"))
+
+    @pytest.mark.parametrize("draw", ONE_CUT.values(), ids=ONE_CUT.keys())
+    @pytest.mark.parametrize("script, cut, draws", [
+        ([0.0, 1.0, 0.3], 0.3, 3),
+        ([math.nan, 0.3], 0.3, 2),
+        ([0.0] * 100 + [0.4], 0.4, 101),  # the last redraw is checked
+        ([0.0, 1.0] * 51, None, 101),
+    ], ids=["third", "nan", "last-redraw", "all-endpoints"])
+    def test_first_interior_of_1_plus_100_draws(self, draw, script, cut, draws):
+        # A lone cut takes the same rule on the scalar and the population path.
+        law = ScriptedLaw(script)
+        if cut is None:
+            with pytest.raises(CutRedrawError):
+                draw(law, substream(0, "scripted"))
+        else:
+            assert draw(law, substream(0, "scripted")) == cut
+        assert law.draws == draws
+
+    @pytest.mark.parametrize("law", [Uniform(), Beta(0.5, 2), Bates(20), PointMass(0.3),
+                                     Empirical([0.1, 0.2, 0.9])], ids=lambda d: d.spec)
+    def test_one_element_draw_takes_the_scalar_stream(self, law):
+        # draw_cut's redraws use size 1: the same values as scalar draws.
+        scalar, sized = substream(0, "size-1"), substream(0, "size-1")
+        for _ in range(20):
+            assert float(law.sample(sized, size=1)[0]) == float(law.sample(scalar))
+
+    @pytest.mark.parametrize("law", [Beta(0.001, 0.001), Empirical([0.0, 0.4, 1.0])],
+                             ids=["beta:0.001,0.001", "empirical-endpoints"])
+    def test_redraws_keep_the_scalar_rejection_stream(self, law):
+        # Laws that hit 0 or 1 often: each cut is the first interior scalar draw.
+        rng, reference = substream(0, "stream"), substream(0, "stream")
+        endpoints = 0
+        for _ in range(200):
+            c = float(law.sample(reference))
+            while not 0.0 < c < 1.0:
+                endpoints += 1
+                c = float(law.sample(reference))
+            assert draw_cut(law, rng) == c
+        assert endpoints > 20
 
     def test_interior_law_ok(self):
         c = draw_cut(Uniform(), substream(0, "ok"))

@@ -1,5 +1,7 @@
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 import threading
 import time
@@ -89,6 +91,18 @@ class TestGridCdf:
         values[at] = bad
         with pytest.raises(ValueError, match="finite"):
             GridCdf(values)
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda grid: pickle.loads(pickle.dumps(grid))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_stay_read_only(self, duplicate):
+        # numpy restores a pickled or copied array writeable, which would let
+        # a copy become a non-monotone CDF past the constructor's checks.
+        grid = GridCdf.identity(5)
+        twin = duplicate(grid)
+        assert twin.values.tobytes() == grid.values.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            twin.values[2] = 0.9
 
     def test_interpolation_between_nodes(self):
         grid = GridCdf(np.array([0.0, 0.5, 1.0]))
@@ -228,23 +242,32 @@ class TestApplyOperator:
         assert markov._scale_mixture.__code__ in seen  # the hook saw the worker
         assert [code.co_name for code in seen if code in public] == []
 
-    @pytest.mark.parametrize("failing", ["reflected", "main"])
+    @pytest.mark.parametrize("failing", ["reflected", "main", "both"])
     def test_branch_failure_raises_and_leaves_no_thread(self, monkeypatch, failing):
         # point:0.3 tells the calls apart: the reflected one gets 1 - 0.3.
         kernel = markov._scale_mixture
 
         def flaky(g, pts, wts):
-            reflected = pts[0] > 0.5
-            if reflected == (failing == "reflected"):
-                raise MemoryError(failing)
-            if reflected:
+            branch = "reflected" if pts[0] > 0.5 else "main"
+            if failing == "both" and branch == "main":
+                time.sleep(0.2)  # the reflected branch has failed by now
+            if failing in (branch, "both"):
+                raise MemoryError(branch)
+            if branch == "reflected":
                 time.sleep(0.2)  # still running when the main branch fails
             return kernel(g, pts, wts)
 
         monkeypatch.setattr(markov, "_scale_mixture", flaky)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match=failing):
+        # With both failing, the calling thread's own error is the one raised.
+        with pytest.raises(MemoryError, match="reflected" if failing == "reflected" else "main"):
             apply_operator(cubic_grid(65), PointMass(0.3))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cut", [Beta(2, 2), PointMass(0.3)], ids=lambda d: d.spec)
+    def test_success_leaves_no_thread(self, cut):
+        before = threading.active_count()
+        apply_operator(cubic_grid(65), cut)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cut", [Uniform(), Beta(2, 2), Bates(5)],

@@ -24,6 +24,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -224,8 +225,9 @@ def report_to_csv(report: ExperimentReport) -> str:
     """Sectioned CSV: config rows, cell rows, then named series blocks.
 
     Each series is written straight from its float array, `_CSV_CHUNK_ROWS`
-    rows at a time, as the lines csv.writer would print: a float is its
-    repr and never quoted, and the series name holds nothing to quote.
+    rows at a time and one column at a time, as the lines csv.writer would
+    print: a float is its repr and never quoted, and the series name holds
+    nothing to quote (every series has a column, so the rows' zip ends).
     The writer's memory peak is about twice the text's length.
     """
     payload = report._payload({})
@@ -243,10 +245,10 @@ def report_to_csv(report: ExperimentReport) -> str:
         writer.writerow(["note", note])
     for name, (columns, rows) in report.series.items():
         writer.writerow(["series", name, *columns])
-        prefix = f"row,{name},"
+        tag = f"row,{name}"
         for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = rows[start:start + _CSV_CHUNK_ROWS].tolist()
-            buf.write("".join(prefix + ",".join(map(repr, row)) + "\n" for row in chunk))
+            cols = [map(repr, col) for col in rows[start:start + _CSV_CHUNK_ROWS].T.tolist()]
+            buf.write("\n".join(map(",".join, zip(repeat(tag), *cols))) + "\n")
     return buf.getvalue()
 
 

@@ -614,6 +614,13 @@ class TestCsvWriterOracle:
         report.add_series("second", ["v"], rows[:, :1] ** 3)
         self._check(report)
 
+    @pytest.mark.parametrize("name", ["{0}", "{}%s", "%d%%", "q-q é"])
+    def test_series_names_with_template_characters(self, name):
+        # A row's text is built by joining, so no name is read as a template.
+        report = ex.ExperimentReport("x", {})
+        report.add_series(name, ["a", "b"], np.resize(_AWKWARD, (len(_AWKWARD), 2)))
+        self._check(report)
+
     @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
     def test_readme_commands(self, argv):
         run, args = _runner_call(argv)

@@ -1,15 +1,11 @@
 import copy
-import importlib
-import inspect
 import pickle
-import pkgutil
 import threading
 import time
 
 import numpy as np
 import pytest
 
-import stochbisect
 from operator_oracle import apply_operator_to_function
 from stochbisect import markov, theory
 from stochbisect.distributions import Bates, Beta, Empirical, PointMass, Uniform
@@ -22,6 +18,7 @@ from stochbisect.markov import (
     iterate_operator,
     rate_bound,
 )
+from thread_probe import codes_called_off_thread, public_code
 
 N = 2049
 ALL_KINDS = [Uniform(), Beta(2, 2), Beta(0.5, 2), Beta(2, 0.5), Beta(0.5, 0.5), Bates(20),
@@ -48,24 +45,6 @@ class BareMeasure:
 
     def quadrature(self, breakpoints=()):
         return self.measure
-
-
-def _public_code() -> set:
-    """Code of every public function and public class method in the package."""
-    codes = set()
-    for info in pkgutil.iter_modules(stochbisect.__path__):
-        module = importlib.import_module(f"stochbisect.{info.name}")
-        for name, value in vars(module).items():
-            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
-                continue
-            members = [value]
-            if inspect.isclass(value):
-                members = [m for n, m in vars(value).items() if not n.startswith("_")]
-            for member in members:
-                member = getattr(member, "fget", getattr(member, "__func__", member))
-                if inspect.isfunction(member):
-                    codes.add(member.__code__)
-    return codes
 
 
 KERNEL_CUTS = [Uniform(), Beta(2, 2), Beta(0.5, 2), Beta(0.5, 0.5), Bates(20),
@@ -223,24 +202,10 @@ class TestApplyOperator:
         assert np.array_equal(apply_operator(grid, cut).values, expected)
 
     def test_second_thread_runs_no_public_function(self):
-        # A public function of the package may be wrapped by a span tracer
-        # whose state is not thread-safe, and a law's `quadrature` memo
-        # changes on a miss: off the calling thread only numpy may run.
-        caller = threading.get_ident()
-        public = _public_code()
-        seen = []
-
-        def profile(frame, event, arg):
-            if event == "call" and threading.get_ident() != caller:
-                seen.append(frame.f_code)
-
-        threading.setprofile(profile)
-        try:
-            apply_operator(cubic_grid(257), Beta(2, 2))  # a fresh law builds its measure
-        finally:
-            threading.setprofile(None)
+        # A fresh law builds its measure, on the calling thread only.
+        seen = codes_called_off_thread(apply_operator, cubic_grid(257), Beta(2, 2))
         assert markov._scale_mixture.__code__ in seen  # the hook saw the worker
-        assert [code.co_name for code in seen if code in public] == []
+        assert [code.co_name for code in seen if code in public_code()] == []
 
     @pytest.mark.parametrize("failing", ["reflected", "main", "both"])
     def test_branch_failure_raises_and_leaves_no_thread(self, monkeypatch, failing):

@@ -1,19 +1,21 @@
 """Command-line experiment runner.
 
-Subcommands map one to one onto the experiment functions in `_COMMANDS`,
-and each flag is generated from a parameter of its function: the flag is
-the parameter name with dashes for underscores, its type is the
-parameter's annotation, it is required exactly when the parameter has no
-default, and `--help` shows that default. Adding a runner parameter
-therefore needs no edit here. Omitted flags stay out of the parsed
-namespace, so the function's signature holds every default. Settings no
-caller varies (interval level, bootstrap resamples, KS level, band width,
-K-section table size) are constants in `experiments`, not flags. Reports
-are written as CSV (default) or JSON to stdout or --out, and the time the
-runner took goes to stderr. Exit codes: 0 on success, 2 on argument or
-spec errors or an --out path that cannot be written, 3 on numerical
-precondition failures (invalid bracket, endpoint atoms, degenerate
-samples).
+There is one subcommand per `run_*` function in `experiments.__all__`, in
+that order: its name is the function's name without `run_` and a trailing
+`_experiment` or `_report`, with dashes for underscores, and its help is
+the first line of the function's docstring. Each flag is generated from a
+parameter of its function: the flag is the parameter name with dashes for
+underscores, its type is the parameter's annotation, it is required
+exactly when the parameter has no default, and `--help` shows that
+default. Adding a runner or a runner parameter therefore needs no edit
+here. Omitted flags stay out of the parsed namespace, so the function's
+signature holds every default. Settings no caller varies (interval level,
+bootstrap resamples, KS level, band width, K-section table size) are
+constants in `experiments`, not flags. Reports are written as CSV
+(default) or JSON to stdout or --out, and the time the runner took goes to
+stderr. Exit codes: 0 on success, 2 on argument or spec errors or an --out
+path that cannot be written, 3 on numerical precondition failures (invalid
+bracket, endpoint atoms, degenerate samples).
 """
 
 from __future__ import annotations
@@ -44,22 +46,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# Subcommand -> (name of its runner in `experiments`, one-line help). The
-# runner is looked up when the parser is built, so a rebound module
-# attribute is the function that runs.
-_COMMANDS = {
-    "contraction": ("run_contraction_experiment",
-                    "Mean scaling factor of random-cut bisection vs theory"),
-    "ksection": ("run_ksection_experiment", "K-cut scaling factor vs 2/(K+2)"),
-    "fixed-root": ("run_fixed_root_experiment",
-                   "Iteration-count statistics for a fixed root"),
-    "stationarity": ("run_stationarity_experiment", "Q-Q and KS of the normalized roots"),
-    "decay": ("run_decay_experiment", "KS decay toward uniform and its fitted rate"),
-    "correlation": ("run_correlation_experiment", "Correlation matrix of scaling factors"),
-    "operator": ("run_operator_experiment", "Iterate the root-law operator on a grid CDF"),
-    "theory": ("run_theory_report", "Closed-form values for a distribution spec"),
-}
-
 # Help text per runner parameter name; documentation only.
 _HELP = {
     "seed": "master seed",
@@ -83,8 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "stationarity, operator iteration, and theory values.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (name, summary) in _COMMANDS.items():
+    # Each runner is looked up now, so a rebound module attribute is what runs.
+    for name in (n for n in experiments.__all__ if n.startswith("run_")):
         run = getattr(experiments, name)
+        command = (name.removeprefix("run_").removesuffix("_experiment")
+                   .removesuffix("_report").replace("_", "-"))
+        summary = (run.__doc__ or "").strip().partition("\n")[0]
         p = sub.add_parser(command, argument_default=argparse.SUPPRESS, help=summary)
         p.set_defaults(run=run)
         for param in inspect.signature(run, eval_str=True).parameters.values():

@@ -162,13 +162,22 @@ def _betacf(a: float, b: float, x: float) -> float:
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}")
 
 
+def _spec_number(x: float) -> str:
+    # `:g` keeps 6 significant digits; `repr` when that would change x.
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 class Distribution(ABC):
     """A cut/root law on [0, 1]."""
 
     @property
     @abstractmethod
     def spec(self) -> str:
-        """Canonical spec string, parseable by `parse_spec`."""
+        """Canonical spec string, from which `parse_spec` rebuilds the law.
+
+        `Empirical` is the exception: its spec names only a sample count.
+        """
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int | tuple | None = None):
@@ -289,7 +298,7 @@ class Beta(Distribution):
 
     @property
     def spec(self) -> str:
-        return f"beta:{self.a:g},{self.b:g}"
+        return f"beta:{_spec_number(self.a)},{_spec_number(self.b)}"
 
     def sample(self, rng, size=None):
         return rng.beta(self.a, self.b, size=size)
@@ -481,7 +490,7 @@ class PointMass(Distribution):
 
     @property
     def spec(self) -> str:
-        return f"point:{self.c:g}"
+        return f"point:{_spec_number(self.c)}"
 
     def sample(self, rng, size=None):
         return self.c if size is None else np.full(size, self.c)

@@ -57,7 +57,7 @@ class NonFiniteValueError(ArithmeticError):
 
 def _finite(x: float, fx: float) -> float:
     if not math.isfinite(fx):
-        raise NonFiniteValueError(f"f({x!r}) = {fx!r} is not finite")
+        raise NonFiniteValueError(f"f({x!r}) = {float(fx)!r} is not finite")
     return fx
 
 

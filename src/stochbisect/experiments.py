@@ -286,25 +286,31 @@ def _interval_after_root(est: IntervalEstimate, power: float) -> IntervalEstimat
                             est.level, est.method)
 
 
-def _scaling_cells(
+def _scaling_report(
+    experiment: str,
+    head: dict,
     ells: np.ndarray,
     final_lengths: np.ndarray,
     reference: float,
     seed: int,
-    tag: str,
-) -> list[Cell]:
+) -> ExperimentReport:
     # `ells` is (runs, iters). The run is the resampling unit, since the
     # factors within a run are dependent unless the root is uniform.
-    iters = ells.shape[1]
+    runs, iters = ells.shape
     mean_ci = stats.bootstrap_mean_ci(
-        ells.mean(axis=1), rng=substream(seed, tag, "bootstrap-ell"))
+        ells.mean(axis=1), rng=substream(seed, experiment, "bootstrap-ell"))
     length_ci = stats.bootstrap_mean_ci(
-        final_lengths, rng=substream(seed, tag, "bootstrap-length"))
+        final_lengths, rng=substream(seed, experiment, "bootstrap-length"))
     geo_ci = _interval_after_root(length_ci, 1.0 / iters)
-    return [
-        Cell("mean_scaling_factor", estimate=mean_ci, theory_reference=reference),
-        Cell("geometric_mean_length", estimate=geo_ci, theory_reference=reference),
-    ]
+    return ExperimentReport(
+        experiment,
+        {**head, "runs": runs, "iters": iters, "seed": seed,
+         "level": stats.LEVEL, "resamples": stats.RESAMPLES},
+        [
+            Cell("mean_scaling_factor", estimate=mean_ci, theory_reference=reference),
+            Cell("geometric_mean_length", estimate=geo_ci, theory_reference=reference),
+        ],
+    )
 
 
 # Bracket width at which a contraction run would stop short of `iters`.
@@ -344,13 +350,8 @@ def run_contraction_experiment(
         ells[m] = trace.ells()
         final_lengths[m] = trace.final_length()
 
-    reference = theory.expected_contraction(cut_dist)
-    report = ExperimentReport(
-        "contraction",
-        {"cut": cut_dist.spec, "runs": runs, "iters": iters,
-         "seed": seed, "level": stats.LEVEL, "resamples": stats.RESAMPLES},
-        _scaling_cells(ells, final_lengths, reference, seed, "contraction"),
-    )
+    report = _scaling_report("contraction", {"cut": cut_dist.spec}, ells, final_lengths,
+                             theory.expected_contraction(cut_dist), seed)
     report.cells.append(Cell("theory_contraction_variance",
                              value=theory.contraction_variance(cut_dist)))
     return report
@@ -384,14 +385,8 @@ def run_ksection_experiment(
             length *= ell
         final_lengths[m] = length
 
-    reference = theory.ksection_expected(k)
-    report = ExperimentReport(
-        "ksection",
-        {"k": k, "runs": runs, "iters": iters, "seed": seed,
-         "level": stats.LEVEL, "resamples": stats.RESAMPLES},
-        _scaling_cells(ells, final_lengths, reference, seed, "ksection"),
-    )
-    return report
+    return _scaling_report("ksection", {"k": k}, ells, final_lengths,
+                           theory.ksection_expected(k), seed)
 
 
 def run_fixed_root_experiment(

@@ -218,7 +218,7 @@ def iterate_operator(
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if grid_cdf.values[0] > _ENDPOINT_TOL:
-        raise EndpointAtomError(f"starting CDF has mass at 0: G(0)={grid_cdf.values[0]!r}")
+        raise EndpointAtomError(f"starting CDF has mass at 0: G(0)={float(grid_cdf.values[0])!r}")
     if cut_concavity(cut_dist) <= _ENDPOINT_TOL:
         raise EndpointAtomError("cuts almost surely at an endpoint never contract")
     iterates = []

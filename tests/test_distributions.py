@@ -767,6 +767,18 @@ class TestSpecParsing:
         for text in ("uniform", "beta:0.5,2", "bates:20", "point:0.5"):
             assert parse_spec(text).spec == text
 
+    @pytest.mark.parametrize("law", [
+        Beta(0.1234567, 2), Beta(123456789, 1), Beta(1 / 3, 2 / 7),
+        PointMass(0.30000001), PointMass(1 / 3),
+    ], ids=lambda d: d.spec)
+    def test_spec_keeps_every_digit(self, law):
+        assert vars(parse_spec(law.spec)) == vars(law)
+
+    @pytest.mark.parametrize("text", [
+        "beta:2.5,1.5", "beta:5,50", "beta:1e-07,3", "point:0.3", "point:0"])
+    def test_short_parameters_keep_their_spelling(self, text):
+        assert parse_spec(text).spec == text
+
     def test_empirical_non_finite_line_is_a_spec_error(self, tmp_path):
         path = tmp_path / "values.csv"
         path.write_text("0.2\nnan\n0.7\n")

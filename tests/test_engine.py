@@ -232,6 +232,11 @@ class TestBisectionRun:
         with pytest.raises(NonFiniteValueError):
             bisection_run(f, 0.0, 0.5, Uniform(), 1e-8, 100, substream(8, "nan"))
 
+    def test_non_finite_message_prints_plain_floats(self):
+        with np.errstate(divide="ignore"), pytest.raises(
+                NonFiniteValueError, match=r"^f\(0\.0\) = -inf is not finite$"):
+            bisection_run(np.log, 0, 2, Uniform(), 1e-8, 100, substream(8, "log"))
+
     def test_zero_at_endpoint_is_not_a_bracket(self):
         with pytest.raises(BracketError):
             bisection_run(lambda x: x, 0.0, 1.0, Uniform(), 1e-8, 10, substream(8, "zero"))

@@ -1,8 +1,11 @@
 import argparse
 import inspect
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +175,7 @@ class TestScalingCells:
         for rep in range(reps):
             draws = substream(rep, "dependent-runs").uniform(size=(runs, 1))
             ells = np.repeat(draws, iters, axis=1)
-            cell = ex._scaling_cells(ells, ells.prod(axis=1), 0.5, rep, "dependent")[0]
+            cell = ex._scaling_report("dependent", {}, ells, ells.prod(axis=1), 0.5, rep).cells[0]
             hits += cell.estimate.contains(0.5)
         assert 0.90 <= hits / reps <= 0.99
 
@@ -180,7 +183,7 @@ class TestScalingCells:
         # Dyadic draws keep every row mean exact.
         draws = substream(SEED, "constant-runs").integers(1, 64, size=50) / 64
         ells = np.repeat(draws[:, None], 8, axis=1)
-        cell = ex._scaling_cells(ells, ells.prod(axis=1), 0.5, SEED, "constant")[0]
+        cell = ex._scaling_report("constant", {}, ells, ells.prod(axis=1), 0.5, SEED).cells[0]
         expected = stats.bootstrap_mean_ci(
             draws, rng=substream(SEED, "constant", "bootstrap-ell"))
         assert cell.estimate == expected
@@ -402,6 +405,21 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"the following arguments are required: {flag}" in err
 
+    @pytest.mark.parametrize("name", sorted(_subparsers()))
+    def test_help_is_the_runner_docstring_summary(self, name):
+        summary = _subparsers()[name].get_default("run").__doc__.strip().splitlines()[0]
+        text = " ".join(build_parser().format_help().split())  # rejoin wrapped lines
+        assert f" {name} {summary} " in text
+
+    def test_runs_without_docstrings(self):
+        # `python -OO` strips docstrings, so every help line is empty.
+        src = Path(__file__).parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-OO", "-m", "stochbisect.cli", "theory", "--dist", "uniform"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout == report_to_csv(ex.run_theory_report("uniform"))
+
     def test_runner_is_looked_up_when_the_parser_is_built(self, monkeypatch):
         # A rebound module attribute (a wrapper, say) is what the CLI calls.
         def wrapped(dist: str):
@@ -451,6 +469,14 @@ class TestCli:
                      "fixed-root --r 0.1 --max-iter 0"):
             assert main(argv.split()) == EXIT_CONFIG, argv
             assert "error" in capsys.readouterr().err
+
+    def test_endpoint_atom_error_prints_a_plain_float(self, capsys):
+        assert main(["operator", "--g0", "point:0", "--k", "1", "--grid", "5"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: starting CDF has mass at 0: G(0)=1.0\n"
+
+    def test_long_spec_is_echoed_in_full(self, capsys):
+        assert main(["theory", "--dist", "beta:0.1234567,2"]) == EXIT_OK
+        assert 'config,dist,"beta:0.1234567,2"\n' in capsys.readouterr().out
 
     def test_operator_k_below_one_exits_2(self, capsys):
         assert main(["operator", "--k", "0", "--grid", "65"]) == EXIT_CONFIG

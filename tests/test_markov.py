@@ -266,6 +266,10 @@ class TestIterateOperator:
         with pytest.raises(EndpointAtomError):
             iterate_operator(GridCdf.identity(257), PointMass(0.0), 1)
 
+    def test_endpoint_atom_message_prints_a_plain_float(self):
+        with pytest.raises(EndpointAtomError, match=r"G\(0\)=1\.0$"):
+            iterate_operator(GridCdf.from_distribution(PointMass(0.0), 5), Uniform(), 1)
+
     @pytest.mark.parametrize("samples", [[0, 0, 1], [0, 1, 1, 1, 1, 1, 1]])
     def test_endpoint_only_empirical_rejected(self, samples):
         # q rounds to -2.8e-17 and +1.4e-17 here, so the test needs a tolerance.

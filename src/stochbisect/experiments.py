@@ -455,7 +455,9 @@ def run_stationarity_experiment(
 
     Evolves `runs` independent chains, then emits Q-Q data of the final
     normalized roots against the uniform law and a KS test at level
-    `stats.KS_ALPHA`.
+    `stats.KS_ALPHA`. The KS test reads every root; the Q-Q series has one
+    row per chain up to `stats.QQ_ROWS` chains, and past that `QQ_ROWS`
+    rows, the sample quantiles at fixed plotting positions.
     Orbits collapsing onto the endpoints are flagged as non-convergent
     rather than raising.
     """

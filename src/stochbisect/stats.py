@@ -3,7 +3,7 @@
 Percentile-bootstrap and Wilson confidence intervals, the exact one-sample
 Kolmogorov-Smirnov statistic against the uniform law, log-linear fits for
 exponential decay, Pearson correlation matrices, and Q-Q plotting data.
-Q-Q data comes back as an (M, 2) float array, the (rows x columns) form
+Q-Q data comes back as an (R, 2) float array, the (rows x columns) form
 of a report series. The KS statistic needs a sample in [0, 1] and the
 decay fit strictly positive values; NaN fails both. Correlation and Q-Q
 data reject NaN and infinite values, and a correlation column is
@@ -11,7 +11,8 @@ constant, and rejected, when its minimum equals its maximum.
 
 The statistical conventions are this module's constants: every interval
 has level `LEVEL` (0.95), the bootstrap draws `RESAMPLES` (2000) resampled
-means unless told otherwise, and the KS test has level `KS_ALPHA` (0.01).
+means unless told otherwise, the KS test has level `KS_ALPHA` (0.01), and
+a Q-Q series has at most `QQ_ROWS` (1000) rows.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ WILSON = "wilson"
 LEVEL = 0.95  # confidence level of every interval
 RESAMPLES = 2000  # bootstrap resamples per interval
 KS_ALPHA = 0.01  # KS test level
+QQ_ROWS = 1000  # most rows of a Q-Q series
 
 _CHUNK_ELEMENTS = 1 << 20  # caps each resample index matrix at ~8 MB
 
@@ -200,16 +202,26 @@ def correlation_matrix(columns: Sequence[Sequence[float]]) -> np.ndarray:
 
 
 def qq_points(samples: Sequence[float]) -> np.ndarray:
-    """Uniform Q-Q data: an (M, 2) array of rows ((i - 0.5) / M, i-th order statistic).
+    """Uniform Q-Q data: an (R, 2) array of rows (p_j, sample quantile at p_j).
 
-    A sample holding NaN or an infinity raises `DegenerateSampleError`.
+    A sample of M <= `QQ_ROWS` values gives R = M rows ((i - 0.5) / M, i-th
+    order statistic). A larger one gives R = `QQ_ROWS` rows at
+    p_j = (j - 0.5) / QQ_ROWS, each with the order statistic of rank
+    ceil(p_j M), so the output size is bounded whatever M is. A sample
+    holding NaN or an infinity raises `DegenerateSampleError`.
     """
     samples = np.sort(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise DegenerateSampleError("Q-Q plot needs a nonempty sample")
-    # -inf sorts first, +inf and NaN last, so the two ends catch them all.
+    # -inf sorts first, +inf and NaN last, so the two ends of the full
+    # sorted sample catch them all, before any rank is picked.
     if not (math.isfinite(samples[0]) and math.isfinite(samples[-1])):
         raise DegenerateSampleError("Q-Q plot needs a finite sample")
     m = samples.size
-    positions = (np.arange(1, m + 1) - 0.5) / m
-    return np.column_stack((positions, samples))
+    rows = min(m, QQ_ROWS)
+    j = np.arange(1, rows + 1)
+    if m > rows:
+        # ceil(p_j m) in integers: the float p_j * m can land one ulp above
+        # an exact integer (m = 1200, j = 18), and its ceil one rank high.
+        samples = samples[((2 * j - 1) * m + 2 * rows - 1) // (2 * rows) - 1]
+    return np.column_stack(((j - 0.5) / rows, samples))

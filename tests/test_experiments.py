@@ -216,6 +216,27 @@ class TestStationarity:
         assert len(rows) == 7
         assert len(report.series["qq"][1]) == 100
 
+    def test_qq_series_is_capped_above_qq_rows_chains(self):
+        # Cells and the KS series are those the uncapped code gave; only
+        # the Q-Q series changes shape past stats.QQ_ROWS chains.
+        report = ex.run_stationarity_experiment(runs=5000, iters=5)
+        assert [(c.label, c.value) for c in report.cells] == [
+            ("ks_statistic", 0.011161682484512547),
+            ("ks_critical_value", 0.023023396795433984),
+            ("ks_pass", 1.0),
+            ("endpoint_fraction", 0.0),
+        ]
+        assert [list(row) for row in report.series["ks"][1]] == [
+            [1.0, 0.010131111499691814, 0.023023396795433984],
+            [2.0, 0.019277282696720965, 0.023023396795433984],
+            [3.0, 0.022962497432226225, 0.023023396795433984],
+            [4.0, 0.014775826611601484, 0.023023396795433984],
+            [5.0, 0.011161682484512547, 0.023023396795433984],
+        ]
+        qq = np.asarray(report.series["qq"][1])
+        assert qq.shape == (1000, 2)
+        assert np.array_equal(qq[:, 0], (np.arange(1, 1001) - 0.5) / 1000)
+
     def test_asymmetric_start_converges_to_uniform(self):
         # Strongly skewed starting law: after 40 iterations the normalized
         # roots pass the KS test and the Q-Q data hugs the diagonal.

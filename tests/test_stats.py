@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -264,6 +265,26 @@ class TestQqPoints:
         samples = [s for _, s in points]
         assert samples == sorted(samples)
 
+    def test_sample_at_the_cap_keeps_every_order_statistic(self):
+        m = stats.QQ_ROWS
+        samples = substream(5, "qq").uniform(size=m)
+        points = qq_points(samples)
+        assert np.array_equal(points[:, 0], (np.arange(1, m + 1) - 0.5) / m)
+        assert np.array_equal(points[:, 1], np.sort(samples))
+
+    # 1200 is a size where ceil of the float product p_j * M is one rank high.
+    @pytest.mark.parametrize("m", [stats.QQ_ROWS + 1, 1200, 2 * stats.QQ_ROWS, 100_000])
+    def test_larger_sample_gives_the_quantile_at_each_plotting_position(self, m):
+        rows = stats.QQ_ROWS
+        samples = substream(6, "qq").uniform(size=m)
+        points = qq_points(samples)
+        assert points.shape == (rows, 2)
+        assert np.all(np.diff(points[:, 1]) >= 0.0)
+        ordered = np.sort(samples)
+        for j, (p, value) in enumerate(points, start=1):
+            assert p == (j - 0.5) / rows
+            assert value == ordered[math.ceil(Fraction(2 * j - 1, 2 * rows) * m) - 1]
+
     def test_empty_rejected(self):
         with pytest.raises(DegenerateSampleError):
             qq_points([])
@@ -272,5 +293,13 @@ class TestQqPoints:
                                          [math.nan, 0.5, -math.inf]])
     def test_non_finite_rejected(self, samples):
         # np.sort keeps each of them as an order statistic.
+        with pytest.raises(DegenerateSampleError):
+            qq_points(samples)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_past_the_last_picked_rank_rejected(self, bad):
+        # Both sort to rank 5000, past the last rank a 5000-value sample picks.
+        samples = substream(7, "qq").uniform(size=5000)
+        samples[1234] = bad
         with pytest.raises(DegenerateSampleError):
             qq_points(samples)

@@ -23,12 +23,9 @@ All parameters are validated at construction and instances are immutable,
 so they are safe to share across workers. Randomness always comes from a
 caller-owned `numpy.random.Generator`.
 
-A large Bates block drawn from a PCG64 generator (at least 2^19 doubles,
-2^14 per row) is split by columns over the calling thread and one worker
-thread, each adding up its half of every row from its own copy of the
-stream jumped ahead with `PCG64.advance`. The values and the generator's
-final state are bit-identical to the one-thread loop that every other
-generator and every smaller block runs.
+The public `sample` draws through the family's private `_sample`, which
+runs numpy only, so the population experiments may call it on the worker
+thread that draws the next step's cuts (see `engine`).
 """
 
 from __future__ import annotations
@@ -179,9 +176,13 @@ class Distribution(ABC):
         `Empirical` is the exception: its spec names only a sample count.
         """
 
-    @abstractmethod
     def sample(self, rng: np.random.Generator, size: int | tuple | None = None):
         """One draw (size=None) or an array of i.i.d. draws."""
+        return self._sample(rng, size)
+
+    @abstractmethod
+    def _sample(self, rng: np.random.Generator, size: int | tuple | None):
+        """Draw as `sample` does; runs numpy only, so a worker thread may call it."""
 
     @abstractmethod
     def cdf(self, x: float) -> float:
@@ -252,7 +253,7 @@ class Uniform(Distribution):
     def spec(self) -> str:
         return "uniform"
 
-    def sample(self, rng, size=None):
+    def _sample(self, rng, size):
         return rng.random(size)
 
     def cdf(self, x):
@@ -300,7 +301,7 @@ class Beta(Distribution):
     def spec(self) -> str:
         return f"beta:{_spec_number(self.a)},{_spec_number(self.b)}"
 
-    def sample(self, rng, size=None):
+    def _sample(self, rng, size):
         return rng.beta(self.a, self.b, size=size)
 
     def cdf(self, x):
@@ -353,33 +354,6 @@ def _irwin_hall(n: int, y, power: int) -> np.ndarray:
     return total / float(math.factorial(power))
 
 
-# The smallest Bates block that `Bates.sample` splits over two threads: the
-# split costs about 1 ms per call to start and join its thread, plus GIL
-# hand-offs on every row, and on two cores it first pays from about 2^19
-# doubles with 2^14 columns (measured for n = 1 to 1000).
-_SPLIT_MIN_DRAWS = 2 ** 19
-_SPLIT_MIN_COLUMNS = 2 ** 14
-
-
-def _row_sums(seed_seq, state, start, stride, n, out):
-    """Add into `out` the n rows of columns [start, start + out.size) of the
-    n x stride block of doubles that a PCG64 in `state` draws next.
-
-    Runs numpy only. The PCG64 copy is built from an existing `seed_seq`,
-    which skips gathering OS entropy, and then set to `state`.
-    """
-    bit_generator = np.random.PCG64(seed_seq)
-    bit_generator.state = state
-    bit_generator.advance(start)
-    rng = np.random.Generator(bit_generator)
-    rng.random(out=out)
-    row = np.empty_like(out)
-    for _ in range(n - 1):
-        bit_generator.advance(stride - out.size)
-        rng.random(out=row)
-        out += row
-
-
 class Bates(Distribution):
     """Bates(n): the mean of n i.i.d. uniforms on [0, 1].
 
@@ -388,14 +362,6 @@ class Bates(Distribution):
     in row order and divided by n. One draw (no size, or a one-element
     size) is the pairwise `sum` of n doubles over n, as numpy's `mean`
     takes it for a single column.
-
-    A PCG64 stream can jump ahead (`advance`), so a block of at least
-    `_SPLIT_MIN_DRAWS` doubles and `_SPLIT_MIN_COLUMNS` columns is split
-    by columns: a worker thread adds up the high half of every row from its
-    own copy of the stream while the calling thread adds up the low half,
-    each copy skipping the other half. The values and the generator's final
-    state, its buffered 32-bit word included, are those of the one-thread
-    loop, which every other generator and every smaller block runs.
 
     The closed-form moments hold for any n.
     The CDF/PDF use the rescaled Irwin-Hall alternating sum with
@@ -417,33 +383,14 @@ class Bates(Distribution):
     def spec(self) -> str:
         return f"bates:{self.n}"
 
-    def sample(self, rng, size=None):
+    def _sample(self, rng, size):
         n = self.n
         if size is None or np.prod(size) == 1:
             draw = float(rng.random(n).sum()) / n
             return draw if size is None else np.full(size, draw)
-        bit_generator, columns = rng.bit_generator, int(np.prod(size))
-        if (type(bit_generator) is not np.random.PCG64 or columns < _SPLIT_MIN_COLUMNS
-                or n * columns < _SPLIT_MIN_DRAWS):
-            total = rng.random(size)
-            for _ in range(n - 1):
-                total += rng.random(size)
-        else:
-            # Imported on use: at module level it would add ~3 ms to every package import.
-            from concurrent.futures import ThreadPoolExecutor
-            with bit_generator.lock:
-                state = bit_generator.state
-            total = np.empty(size)
-            flat, half = total.reshape(-1), columns // 2
-            with ThreadPoolExecutor(max_workers=1) as worker:
-                high = worker.submit(_row_sums, bit_generator.seed_seq, state, half,
-                                     columns, n, flat[half:])
-                _row_sums(bit_generator.seed_seq, state, 0, columns, n, flat[:half])
-            high.result()
-            bit_generator.advance(n * columns)  # which also clears the buffered 32-bit word
-            end = bit_generator.state
-            end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
-            bit_generator.state = end
+        total = rng.random(size)
+        for _ in range(n - 1):
+            total += rng.random(size)
         total /= n
         return total
 
@@ -492,7 +439,7 @@ class PointMass(Distribution):
     def spec(self) -> str:
         return f"point:{_spec_number(self.c)}"
 
-    def sample(self, rng, size=None):
+    def _sample(self, rng, size):
         return self.c if size is None else np.full(size, self.c)
 
     def cdf(self, x):
@@ -532,7 +479,7 @@ class Empirical(Distribution):
     def spec(self) -> str:
         return f"empirical:<{self.samples.size} samples>"
 
-    def sample(self, rng, size=None):
+    def _sample(self, rng, size):
         idx = rng.integers(0, self.samples.size, size=size)
         return self.samples[idx]
 

@@ -5,11 +5,16 @@ the gap [lo, hi] between the largest cut below the root r and the
 smallest cut at or above it (0 and 1 when there is none), then rescale r
 to (r - lo) / (hi - lo). A tie c == r therefore keeps [lo, c]. With one
 cut this is random bisection. `population_step` is the one vectorized
-kernel: it advances many independent chains, with cuts from any law, for
-the statistical experiments. `multisection_step` is the scalar step with
-uniform cuts, and `bisection_run` applies the one-cut rule to a bracket
-of a user-supplied f, keeping one `IterationRecord` per step. A record is
-a named tuple: immutable, read by field name, and cheap to build.
+kernel: it advances many independent chains on a given block of cuts,
+drawn from any law, for the statistical experiments. `multisection_step`
+is the scalar step with uniform cuts, and `bisection_run` applies the
+one-cut rule to a bracket of a user-supplied f, keeping one
+`IterationRecord` per step. A record is a named tuple: immutable, read by
+field name, and cheap to build.
+
+Cuts are drawn on the calling thread, except that `_cut_blocks` draws a
+population experiment's blocks of `_PREFETCH_MIN_CUTS` cuts or more one
+step ahead on a worker thread, taking the same draws in the same order.
 """
 
 from __future__ import annotations
@@ -65,31 +70,69 @@ def draw_cut(cut_dist: Distribution, rng: np.random.Generator) -> float:
     """One cut in the open interval (0, 1), redrawing endpoint values.
 
     Endpoint cuts stall the process (the interval never shrinks on one
-    side), so they are redrawn, one size-1 draw at a time, as `population_step`
-    redraws them: a cut is accepted if any of its first 1 + 100 draws lands
-    in (0, 1), else `CutRedrawError` is raised.
+    side), so they are redrawn, one size-1 draw at a time, as the population
+    blocks redraw them: a cut is accepted if any of its first 1 + 100 draws
+    lands in (0, 1), else `CutRedrawError` is raised.
     """
     c = float(cut_dist.sample(rng))
-    return c if 0.0 < c < 1.0 else float(_redraw_endpoints(np.array([c]), cut_dist, rng)[0])
+    if 0.0 < c < 1.0:
+        return c
+    return float(_accepted(cut_dist, _redraw_endpoints(np.array([c]), cut_dist.sample, rng))[0])
 
 
 def _draw_cuts(cut_dist: Distribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    cuts = np.asarray(cut_dist.sample(rng, size=size), dtype=float)
-    return _redraw_endpoints(cuts, cut_dist, rng)
+    """One block of `size` cuts in (0, 1), drawn on the calling thread."""
+    return _accepted(cut_dist, _sampled_cuts(cut_dist.sample, rng, size))
 
 
-def _redraw_endpoints(
-    cuts: np.ndarray, cut_dist: Distribution, rng: np.random.Generator
-) -> np.ndarray:
+def _sampled_cuts(sample, rng: np.random.Generator, size: int) -> np.ndarray | None:
+    """`size` draws of `sample`, endpoints redrawn; a worker may pass a law's `_sample`."""
+    return _redraw_endpoints(np.asarray(sample(rng, size=size), dtype=float), sample, rng)
+
+
+def _redraw_endpoints(cuts: np.ndarray, sample, rng: np.random.Generator) -> np.ndarray | None:
+    """`cuts`, each at 0 or 1, or NaN, redrawn in place by `sample`; None if one stays."""
     for redraws in range(_MAX_REDRAWS + 1):
         bad = ~((cuts > 0.0) & (cuts < 1.0))  # NaN is redrawn too
         if not bad.any():
             return cuts
         if redraws < _MAX_REDRAWS:  # the last redraw is checked, never redrawn
-            cuts[bad] = cut_dist.sample(rng, size=int(bad.sum()))
-    raise CutRedrawError(
-        f"{cut_dist.spec} kept producing cuts at 0 or 1 after {_MAX_REDRAWS} redraws"
-    )
+            cuts[bad] = sample(rng, size=int(bad.sum()))
+    return None
+
+
+def _accepted(cut_dist: Distribution, cuts: np.ndarray | None) -> np.ndarray:
+    """`cuts`, or `CutRedrawError` for None; on the calling thread, as `spec` is public."""
+    if cuts is None:
+        raise CutRedrawError(
+            f"{cut_dist.spec} kept producing cuts at 0 or 1 after {_MAX_REDRAWS} redraws")
+    return cuts
+
+
+# Smaller blocks are drawn inline: the worker's hand-offs would cost more than they save.
+_PREFETCH_MIN_CUTS = 2 ** 16
+
+
+def _cut_blocks(cut_dist: Distribution, rng: np.random.Generator, steps: int, shape: tuple):
+    """The cut blocks of `steps` population steps, each of `shape`, in order.
+
+    Each takes the draws of `_draw_cuts`; a large one is drawn a step ahead
+    by a worker, so nothing else may draw from `rng` meanwhile. Close the
+    generator (`closing`) so that a failing caller stops the worker first.
+    """
+    size = math.prod(shape)
+    if size < _PREFETCH_MIN_CUTS:
+        yield from (_draw_cuts(cut_dist, rng, size).reshape(shape) for _ in range(steps))
+        return
+    # Imported on use: at module level it would add ~3 ms to every package import.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(_sampled_cuts, cut_dist._sample, rng, size)
+        for step in range(1, steps + 1):
+            cuts = _accepted(cut_dist, pending.result())
+            if step < steps:
+                pending = worker.submit(_sampled_cuts, cut_dist._sample, rng, size)
+            yield cuts.reshape(shape)
 
 
 class IterationRecord(NamedTuple):
@@ -187,8 +230,9 @@ def multisection_step(
 
     Draws k i.i.d. uniform cuts, keeps the gap between the largest cut
     below r and the smallest at or above it (with sentinels 0 and 1), and
-    rescales r to that gap. It takes the draws `population_step` gives a
-    single chain, so the two agree bit for bit.
+    rescales r to that gap. It draws its cuts on the calling thread as
+    `_draw_cuts` draws a one-chain block, so it agrees with `population_step`
+    bit for bit.
     """
     if k < 1:
         raise ValueError(f"need at least one cut, got k={k}")
@@ -197,37 +241,39 @@ def multisection_step(
         raise DomainError(f"r must lie in [0, 1], got {r}")
     cuts = rng.random(k).tolist()
     if 0.0 in cuts:  # uniform draws lie in [0, 1): redraw a cut at 0
-        cuts = _redraw_endpoints(np.array(cuts), _UNIFORM, rng).tolist()
+        cuts = _accepted(_UNIFORM, _redraw_endpoints(np.array(cuts), _UNIFORM.sample, rng)).tolist()
     lo = max((c for c in cuts if c < r), default=0.0)
     hi = min((c for c in cuts if c >= r), default=1.0)
     ell = hi - lo
     return ell, (r - lo) / ell
 
 
-def population_step(
-    roots: np.ndarray, cut_dist: Distribution, rng: np.random.Generator, k: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+def population_step(roots: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Advance M independent chains one K-cut iteration: (ells, new_roots).
 
-    The k * M cuts are drawn as k rows of M, so chain i takes draws i,
-    M + i, ...; a single chain gets the scalar step's draw order. With
-    k = 1 a cut c >= r keeps [0, c] and maps r to r / c, tie included,
+    `cuts` is k rows shaped like `roots`; `_draw_cuts` draws them as k rows
+    of M, so chain i takes draws i, M + i, ..., the scalar step's order.
+    With k = 1 a cut c >= r keeps [0, c] and maps r to r / c, tie included,
     and a cut c < r keeps [c, 1] and maps r to (r - c) / (1 - c). A root
-    outside [0, 1], or NaN, raises `DomainError`.
+    outside [0, 1], a cut outside (0, 1), or NaN raises `DomainError`; no
+    cut rows, or rows of another shape, raise `ValueError`.
 
     The gap is found one cut row at a time, in place: every cut lies in
     (0, 1), so min(c, c < r) is c below the root and 0 otherwise, and
     max(c, c < r) is 1 below the root and c otherwise. A running maximum
     and minimum of these give lo and hi with no k x M temporary.
     """
-    if k < 1:
-        raise ValueError(f"need at least one cut, got k={k}")
     roots = np.asarray(roots, dtype=float)
+    cuts = np.asarray(cuts, dtype=float)
+    if cuts.ndim == 0 or cuts.shape[0] < 1 or cuts.shape[1:] != roots.shape:
+        raise ValueError(f"need at least one cut row of shape {roots.shape}, got {cuts.shape}")
     # The initial values let an empty population through; NaN fails both tests.
     least, greatest = roots.min(initial=0.0), roots.max(initial=1.0)
     if not (least >= 0.0 and greatest <= 1.0):
         raise DomainError(f"roots must lie in [0, 1], got min {least}, max {greatest}")
-    cuts = _draw_cuts(cut_dist, rng, k * roots.size).reshape(k, *roots.shape)
+    least, greatest = cuts.min(initial=0.5), cuts.max(initial=0.5)
+    if not (least > 0.0 and greatest < 1.0):
+        raise DomainError(f"cuts must lie in (0, 1), got min {least}, max {greatest}")
     lo, hi = np.zeros_like(roots), np.ones_like(roots)
     for row in cuts:
         below = row < roots

@@ -23,6 +23,7 @@ import io
 import json
 import math
 from collections.abc import Sequence
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -32,6 +33,7 @@ from . import stats, theory
 from .distributions import parse_spec
 from .engine import (
     TERMINATED_MAX_ITERATIONS,
+    _cut_blocks,
     bisection_run,
     multisection_step,
     population_step,
@@ -470,9 +472,10 @@ def run_stationarity_experiment(
     roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
     critical = stats.ks_critical_value(runs)
     ks_rows = []
-    for n in range(1, iters + 1):
-        _, roots = population_step(roots, cut_dist, rng)
-        ks_rows.append((n, stats.ks_statistic(roots), critical))
+    with closing(_cut_blocks(cut_dist, rng, iters, (1, runs))) as blocks:
+        for n, cuts in enumerate(blocks, 1):
+            _, roots = population_step(roots, cuts)
+            ks_rows.append((n, stats.ks_statistic(roots), critical))
 
     ks = ks_rows[-1][1]
     endpoint_fraction = float(np.mean(
@@ -530,11 +533,12 @@ def run_decay_experiment(
     ks_values = [stats.ks_statistic(roots)]
     mean_devs: list[float] = []
     standard_errors: list[float] = []
-    for _ in range(iters):
-        ells, roots = population_step(roots, cut_dist, rng)
-        ks_values.append(stats.ks_statistic(roots))
-        mean_devs.append(abs(float(ells.mean()) - mu_ell))
-        standard_errors.append(float(ells.std()) / math.sqrt(runs))
+    with closing(_cut_blocks(cut_dist, rng, iters, (1, runs))) as blocks:
+        for cuts in blocks:
+            ells, roots = population_step(roots, cuts)
+            ks_values.append(stats.ks_statistic(roots))
+            mean_devs.append(abs(float(ells.mean()) - mu_ell))
+            standard_errors.append(float(ells.std()) / math.sqrt(runs))
     ks_values = np.array(ks_values)
     mean_devs = np.array(mean_devs)
 
@@ -595,8 +599,9 @@ def run_correlation_experiment(
     rng = substream(seed, "correlation")
     roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
     ells = np.empty((iters, runs))
-    for n in range(iters):
-        ells[n], roots = population_step(roots, cut_dist, rng)
+    with closing(_cut_blocks(cut_dist, rng, iters, (1, runs))) as blocks:
+        for n, cuts in enumerate(blocks):
+            ells[n], roots = population_step(roots, cuts)
 
     corr = stats.correlation_matrix(ells)
     off_diagonal = corr[~np.eye(iters, dtype=bool)]

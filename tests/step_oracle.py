@@ -6,11 +6,14 @@ the cut rows. These oracles write the rule out another way, so the tests
 can replay a step's cuts and compare every factor and new root exactly:
 `skewed_dyadic` is the one-cut map for one root, branch by branch, and
 `k_cut_step` is the masked reduction over all k cut rows at once.
+`drawn_step` is the step as the experiments take it, on the next block of
+cuts drawn from a stream.
 """
 
 import numpy as np
 
 from stochbisect.distributions import DomainError
+from stochbisect.engine import _draw_cuts, population_step
 
 
 def skewed_dyadic(c: float, r: float) -> float:
@@ -37,3 +40,13 @@ def k_cut_step(roots: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndar
     hi = np.where(below, 1.0, cuts).min(axis=0)
     ells = hi - lo
     return ells, (roots - lo) / ells
+
+
+def drawn_step(roots, law, rng, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """`population_step` on the next (k, *roots.shape) cut block from `rng`.
+
+    The block takes the draws of `_draw_cuts`, as every population
+    experiment's block does: k rows of M, so chain i takes draws i, M + i, ...
+    """
+    roots = np.asarray(roots, dtype=float)
+    return population_step(roots, _draw_cuts(law, rng, k * roots.size).reshape(k, *roots.shape))

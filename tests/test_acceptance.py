@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from operator_oracle import apply_operator_to_function
+from step_oracle import drawn_step
 from stochbisect import experiments as ex
 from stochbisect import theory
 from stochbisect.distributions import parse_spec
-from stochbisect.engine import population_step
 from stochbisect.experiments import DEFAULT_SEED, report_to_csv, report_to_json
 from stochbisect.markov import (
     GridCdf,
@@ -226,7 +226,7 @@ def test_criterion_11_closed_form_cross_validation():
         dist = parse_spec(spec)
         rng = substream(DEFAULT_SEED, "mc-crossval", spec)
         roots = rng.uniform(size=1_000_000)
-        ells, _ = population_step(roots, dist, rng)
+        ells, _ = drawn_step(roots, dist, rng)
         se = float(ells.std()) / 1000.0
         gap = abs(float(ells.mean()) - theory.expected_contraction(dist))
         ok = ok and gap <= 3.0 * se

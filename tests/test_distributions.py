@@ -1,8 +1,6 @@
 import copy
 import math
 import pickle
-import threading
-import time
 import weakref
 
 import numpy as np
@@ -12,10 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy import stats as sps
 
-from stochbisect import distributions
 from stochbisect.distributions import (
-    _SPLIT_MIN_COLUMNS,
-    _SPLIT_MIN_DRAWS,
     Bates,
     Beta,
     DomainError,
@@ -32,27 +27,9 @@ from stochbisect.distributions import (
 from stochbisect.markov import GridCdf, hn_mean_var, iterate_operator
 from stochbisect.seeding import substream
 from stochbisect.stats import ks_statistic
-from thread_probe import codes_called_off_thread, public_code
 
 PARAMETRIC = [Uniform(), Beta(2, 2), Beta(0.5, 2), Beta(2, 0.5), Bates(20)]
 ALL_KINDS = PARAMETRIC + [PointMass(0.5), Empirical([0.1, 0.2, 0.2, 0.9])]
-
-
-def _split_columns(n: int) -> int:
-    """An odd column count at which an n-row Bates block drawn from PCG64 is split."""
-    return max(_SPLIT_MIN_COLUMNS, -(-_SPLIT_MIN_DRAWS // n)) | 1
-
-
-def _count_splits(monkeypatch) -> list:
-    """Record the `start` column of every half-block that `Bates.sample` adds up."""
-    starts, row_sums = [], distributions._row_sums
-
-    def counting(seed_seq, state, start, stride, n, out):
-        starts.append(start)
-        row_sums(seed_seq, state, start, stride, n, out)
-
-    monkeypatch.setattr(distributions, "_row_sums", counting)
-    return starts
 
 
 def _expect(dist, g, breakpoints=()):
@@ -164,57 +141,43 @@ class TestSampling:
                                  lambda rng: rng.uniform(size=(n, *shape)).mean(axis=0),
                                  f"bates-{n}-{size}")
 
-    # Blocks past both split thresholds: an odd column count and a tuple
-    # shape, whose halves differ in width.
+    # Blocks past both thresholds at which Bates once split its columns
+    # over two threads (2^19 draws and 2^14 columns): an odd column count
+    # and a tuple shape, whose halves would differ in width.
     @pytest.mark.parametrize("layout", ["odd", "tuple"])
     @pytest.mark.parametrize("n", [1, 2, 20, 25])
-    def test_split_bates_draws_are_the_row_mean_of_a_uniform_block(self, monkeypatch, n, layout):
-        columns = _split_columns(n)
+    def test_split_bates_draws_are_the_row_mean_of_a_uniform_block(self, n, layout):
+        columns = max(2 ** 14, -(-2 ** 19 // n)) | 1
         shape = (columns,) if layout == "odd" else (3, columns // 3 + 1)
-        starts = _count_splits(monkeypatch)
         self._assert_same_stream(lambda rng: Bates(n).sample(rng, size=shape),
                                  lambda rng: rng.uniform(size=(n, *shape)).mean(axis=0),
                                  f"bates-split-{n}-{layout}")
-        assert sorted(starts) == [0] * 50 + [math.prod(shape) // 2] * 50
 
-    def test_split_bates_keeps_the_buffered_32_bit_word(self, monkeypatch):
-        # Three small integers leave half of a 64-bit draw buffered: the
-        # integers after the block must read it, as they do after the loop.
-        size, starts = _split_columns(20), _count_splits(monkeypatch)
+    def test_split_bates_keeps_the_buffered_32_bit_word(self):
+        # A population-sized block (2^15 + 1 columns, odd) between small
+        # integers, which leave half of a 64-bit draw buffered: the values
+        # are the row mean of a uniform block, and the integers after the
+        # block read the buffered word, as they do after numpy's own draw.
+        columns = 2 ** 15 + 1
 
         def around(draw):
             return lambda rng: np.concatenate(
                 [rng.integers(0, 10, 3), draw(rng), rng.integers(0, 10, 3)])
 
-        self._assert_same_stream(around(lambda rng: Bates(20).sample(rng, size=size)),
-                                 around(lambda rng: rng.uniform(size=(20, size)).mean(axis=0)),
-                                 "bates-split-integers")
-        assert len(starts) == 100
+        self._assert_same_stream(
+            around(lambda rng: Bates(20).sample(rng, size=columns)),
+            around(lambda rng: rng.uniform(size=(20, columns)).mean(axis=0)),
+            "bates-block-integers")
 
     @pytest.mark.parametrize("bit_generator", ["MT19937", "SFC64", "Philox", "PCG64DXSM"])
-    def test_other_generators_take_the_one_thread_loop(self, monkeypatch, bit_generator):
-        size, starts = _split_columns(20), _count_splits(monkeypatch)
+    def test_other_generators_take_the_one_thread_loop(self, bit_generator):
+        # Every bit generator draws a Bates block by the same row loop.
+        size = 2 ** 15 + 1
         rng, ref = (np.random.Generator(getattr(np.random, bit_generator)(9)) for _ in range(2))
         for _ in range(3):
             got = Bates(20).sample(rng, size=size)
             assert np.array_equal(got, ref.uniform(size=(20, size)).mean(axis=0))
         np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
-        assert starts == []
-
-    # Each block sits on one threshold and clears the other.
-    @pytest.mark.parametrize("n,size", [
-        (1, _SPLIT_MIN_DRAWS - 1), (1, _SPLIT_MIN_DRAWS),
-        (_SPLIT_MIN_DRAWS // _SPLIT_MIN_COLUMNS + 1, _SPLIT_MIN_COLUMNS - 1),
-        (_SPLIT_MIN_DRAWS // _SPLIT_MIN_COLUMNS, _SPLIT_MIN_COLUMNS),
-    ], ids=["too-few-draws", "draws-edge", "too-few-columns", "columns-edge"])
-    def test_split_starts_at_both_thresholds(self, monkeypatch, n, size):
-        starts = _count_splits(monkeypatch)
-        rng, ref = substream(9, "split-edge"), substream(9, "split-edge")
-        assert np.array_equal(Bates(n).sample(rng, size=size),
-                              ref.uniform(size=(n, size)).mean(axis=0))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        split = n * size >= _SPLIT_MIN_DRAWS and size >= _SPLIT_MIN_COLUMNS
-        assert sorted(starts) == ([0, size // 2] if split else [])
 
     @pytest.mark.parametrize("dist", PARAMETRIC, ids=lambda d: d.spec)
     def test_empirical_cdf_matches_cdf(self, dist):
@@ -223,44 +186,6 @@ class TestSampling:
         draws = np.atleast_1d(dist.sample(substream(6, "ks", dist.spec), size=100_000))
         transformed = np.array([dist.cdf(float(x)) for x in np.sort(draws)[::10]])
         assert ks_statistic(transformed) < 0.01
-
-
-class TestSplitThread:
-    """The worker thread of a split Bates draw (n = 20, 200k columns)."""
-
-    def test_second_thread_runs_no_public_function(self):
-        seen = codes_called_off_thread(Bates(20).sample, substream(3, "split-probe"), 200_000)
-        assert distributions._row_sums.__code__ in seen  # the hook saw the worker
-        assert [code.co_name for code in seen if code in public_code()] == []
-
-    @pytest.mark.parametrize("failing", ["worker", "caller", "both"])
-    def test_failure_raises_and_leaves_no_thread(self, monkeypatch, failing):
-        # The worker adds the high half of the columns, which starts past 0.
-        row_sums = distributions._row_sums
-
-        def flaky(seed_seq, state, start, stride, n, out):
-            thread = "worker" if start else "caller"
-            if failing == "both" and thread == "caller":
-                time.sleep(0.2)  # the worker has failed by now
-            if failing in (thread, "both"):
-                raise MemoryError(thread)
-            if thread == "worker":
-                time.sleep(0.2)  # still running when the calling thread fails
-            row_sums(seed_seq, state, start, stride, n, out)
-
-        monkeypatch.setattr(distributions, "_row_sums", flaky)
-        rng = substream(3, "split-failure")
-        state, before = rng.bit_generator.state, threading.active_count()
-        # With both failing, the calling thread's own error is the one raised.
-        with pytest.raises(MemoryError, match="worker" if failing == "worker" else "caller"):
-            Bates(20).sample(rng, size=200_000)
-        assert threading.active_count() == before
-        assert rng.bit_generator.state == state  # a failed split leaves the stream alone
-
-    def test_success_leaves_no_thread(self):
-        before = threading.active_count()
-        Bates(20).sample(substream(3, "split-success"), size=200_000)
-        assert threading.active_count() == before
 
 
 class TestCdf:

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,20 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from stochbisect import stats as stats_module
 from stochbisect.distributions import Bates, Beta, DomainError, Empirical, PointMass, Uniform
 from stochbisect.engine import (
+    _PREFETCH_MIN_CUTS,
     BracketError,
     CutRedrawError,
     NonFiniteValueError,
+    _cut_blocks,
     _draw_cuts,
+    _sampled_cuts,
     bisection_run,
     draw_cut,
     multisection_step,
     population_step,
 )
+from stochbisect.experiments import (
+    run_correlation_experiment,
+    run_decay_experiment,
+    run_stationarity_experiment,
+)
 from stochbisect.seeding import substream
 from stochbisect.stats import bootstrap_mean_ci, ks_critical_value, ks_statistic
-from step_oracle import k_cut_step, skewed_dyadic
+from step_oracle import drawn_step, k_cut_step, skewed_dyadic
+from thread_probe import codes_called_off_thread, public_code
 
 
 class TestSkewedDyadic:
@@ -256,7 +268,7 @@ class TestPopulationStep:
         roots = substream(9, "roots").uniform(size=m)
         roots[::5] = cuts[::5]  # ties c == r keep [0, c]
         roots[1], roots[2] = 0.0, 1.0
-        ells, new_roots = population_step(roots, Uniform(), substream(9, "replay"))
+        ells, new_roots = population_step(roots, cuts[None])
         for c, r, ell, r_next in zip(cuts, roots, ells, new_roots):
             assert ell == (c if c >= r else 1.0 - c)
             assert r_next == skewed_dyadic(c, r)
@@ -268,14 +280,14 @@ class TestPopulationStep:
         # multisection_step raises DomainError for the same root.
         roots = np.array([0.3, bad, 0.7])
         with pytest.raises(DomainError):
-            population_step(roots, Uniform(), substream(9, "domain"), k)
+            population_step(roots, np.full((k, 3), 0.5))
 
     def test_tiny_cut_does_not_warn(self):
         # r / c overflows for the subnormal cut, but only where c < r, whose
         # branch is discarded; the suite turns any warning into an error.
         c = 1e-310
         roots = np.array([0.0, 1e-320, 0.5, 1.0])
-        ells, new_roots = population_step(roots, PointMass(c), substream(9, "tiny"))
+        ells, new_roots = population_step(roots, np.full((1, 4), c))
         for r, ell, r_next in zip(roots, ells, new_roots):
             assert ell == (c if c >= r else 1.0 - c)
             assert r_next == skewed_dyadic(c, r)
@@ -288,14 +300,14 @@ class TestPopulationStep:
         # The running in-place max/min over cut rows gives the masked
         # reduction's gap bit for bit, ties c == r and end roots included.
         cuts = law.sample(substream(4, "gap", k), size=k * math.prod(shape))
-        assert np.all((cuts > 0.0) & (cuts < 1.0))  # so the step redraws none
+        assert np.all((cuts > 0.0) & (cuts < 1.0))  # cuts the step accepts
         cuts = cuts.reshape(k, *shape)
         roots = substream(4, "gap-roots", k).uniform(size=shape)
         flat = roots.reshape(-1)
         flat[::5] = cuts[0].reshape(-1)[::5]
         flat[2::5] = cuts[-1].reshape(-1)[2::5]
         flat[1], flat[3] = 0.0, 1.0
-        ells, new_roots = population_step(roots, law, substream(4, "gap", k), k)
+        ells, new_roots = population_step(roots, cuts)
         want_ells, want_roots = k_cut_step(roots, cuts)
         assert ells.shape == new_roots.shape == shape
         assert np.array_equal(ells, want_ells)
@@ -306,9 +318,124 @@ class TestPopulationStep:
         roots = rng.uniform(size=10_000)
         total = []
         for _ in range(30):
-            ells, roots = population_step(roots, Beta(2, 2), rng)
+            ells, roots = drawn_step(roots, Beta(2, 2), rng)
             total.append(ells.mean())
         assert 0.595 <= np.mean(total) <= 0.605
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.2, math.nan],
+                             ids=["zero", "one", "above", "below", "nan"])
+    def test_cut_outside_open_interval_rejected(self, bad):
+        cuts = np.full((2, 3), 0.5)
+        cuts[1, 2] = bad
+        with pytest.raises(DomainError, match="cuts must lie in"):
+            population_step(np.array([0.3, 0.5, 0.7]), cuts)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 3, 1), (3,), ()], ids=str)
+    def test_cut_rows_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least one cut row of shape"):
+            population_step(np.array([0.3, 0.5, 0.7]), np.full(shape, 0.5))
+
+    def test_empty_population_steps(self):
+        ells, roots = population_step(np.empty(0), np.empty((2, 0)))
+        assert ells.shape == roots.shape == (0,)
+
+
+# Half of these Empirical and beta:0.003,0.003 draws land on 0 or 1 and are redrawn.
+_BLOCK_LAWS = [Empirical([0.0, 0.25, 0.5, 1.0]), Bates(20), Beta(0.003, 0.003)]
+
+
+class TestCutBlocks:
+    """The population experiments' cut blocks, drawn one step ahead past a size."""
+
+    @pytest.mark.parametrize("size", [_PREFETCH_MIN_CUTS - 1, _PREFETCH_MIN_CUTS],
+                             ids=["inline", "prefetched"])
+    @pytest.mark.parametrize("law", _BLOCK_LAWS, ids=lambda law: law.spec)
+    def test_blocks_are_the_sequential_draws(self, law, size):
+        # Bit for bit the blocks `_draw_cuts` draws in turn, redraws included,
+        # with the same final stream; only the larger block is drawn off the thread.
+        rng, ref = substream(5, "blocks", law.spec), substream(5, "blocks", law.spec)
+        blocks = []
+        seen = codes_called_off_thread(lambda: blocks.extend(_cut_blocks(law, rng, 3, (1, size))))
+        assert (_sampled_cuts.__code__ in seen) == (size >= _PREFETCH_MIN_CUTS)
+        assert len(blocks) == 3
+        for block in blocks:
+            assert block.shape == (1, size)
+            assert np.array_equal(block[0], _draw_cuts(law, ref, size))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("size", [_PREFETCH_MIN_CUTS - 1, _PREFETCH_MIN_CUTS],
+                             ids=["inline", "prefetched"])
+    def test_stall_raises_at_the_block_that_stalls(self, size):
+        # The third block and all its redraws land on 0: both paths hand
+        # over two blocks, then raise the same error for the third.
+        law, draws = Uniform(), []
+        real = law._sample
+
+        def stalls_from_the_third_block(rng, size):
+            draws.append(size)
+            return np.zeros(size) if len(draws) > 2 else real(rng, size)
+
+        law._sample = stalls_from_the_third_block
+        handed = []
+        with pytest.raises(CutRedrawError) as error:
+            for block in _cut_blocks(law, substream(5, "stall"), 4, (1, size)):
+                handed.append(block)
+        assert len(handed) == 2
+        assert str(error.value) == "uniform kept producing cuts at 0 or 1 after 100 redraws"
+        assert draws == [size] * 3 + [size] * 100  # no fourth block is drawn
+
+    @pytest.mark.parametrize("runs", [1000, 70_000], ids=["inline", "prefetched"])
+    def test_endpoint_law_raises_the_same_error(self, runs):
+        message = "point:0 kept producing cuts at 0 or 1 after 100 redraws"
+        for runner in (run_stationarity_experiment, run_decay_experiment,
+                       run_correlation_experiment):
+            with pytest.raises(CutRedrawError) as error:
+                runner("uniform", "point:0", runs, 3)
+            assert str(error.value) == message
+
+    @pytest.mark.parametrize("runner", [run_stationarity_experiment, run_decay_experiment,
+                                        run_correlation_experiment],
+                             ids=["stationarity", "decay", "correlation"])
+    @pytest.mark.parametrize("dist", ["beta:2,2", "bates:20"])
+    def test_worker_runs_no_public_function(self, runner, dist):
+        seen = codes_called_off_thread(runner, "beta:0.5,2", dist, 70_000, 3)
+        assert _sampled_cuts.__code__ in seen  # the hook saw the worker
+        assert [code.co_name for code in seen if code in public_code()] == []
+
+    def test_success_leaves_no_thread(self):
+        before = threading.active_count()
+        run_stationarity_experiment("uniform", "beta:2,2", 70_000, 3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["worker", "caller", "both"])
+    def test_failure_raises_and_leaves_no_thread(self, monkeypatch, failing):
+        # The worker is still drawing the second block when the calling
+        # thread measures the first; either side may fail there.
+        sample, ks, calls = Beta._sample, stats_module.ks_statistic, []
+
+        def second_block(self, rng, size):
+            calls.append(threading.get_ident())
+            if len(calls) == 2:
+                time.sleep(0.2)
+                if failing != "caller":
+                    raise MemoryError("worker")
+            return sample(self, rng, size)
+
+        def first_statistic(samples):
+            if failing != "worker":
+                raise MemoryError("caller")
+            return ks(samples)
+
+        monkeypatch.setattr(Beta, "_sample", second_block)
+        monkeypatch.setattr(stats_module, "ks_statistic", first_statistic)
+        before = threading.active_count()
+        # The held error keeps the runner's frame, and so its blocks, alive.
+        with pytest.raises(MemoryError) as error:
+            run_stationarity_experiment("uniform", "beta:2,2", 70_000, 5)
+        assert threading.active_count() == before
+        # With both failing, the calling thread's own error is the one raised.
+        assert str(error.value) == ("worker" if failing == "worker" else "caller")
+        assert len(calls) == 2 and threading.get_ident() not in calls
 
 
 class TestMultisection:
@@ -325,7 +452,7 @@ class TestMultisection:
     def test_mean_gap_against_theory(self, k, lo, hi):
         rng = substream(1, "gap", k)
         roots = rng.uniform(size=1_000_000)
-        ells, _ = population_step(roots, Uniform(), rng, k)
+        ells, _ = drawn_step(roots, Uniform(), rng, k)
         assert lo <= ells.mean() <= hi
 
     @pytest.mark.parametrize("a,b,k,expected", [(2, 2, 2, 0.44286), (2, 2, 3, 0.35584),
@@ -341,7 +468,7 @@ class TestMultisection:
         assert 2.0 * half == pytest.approx(expected, abs=5e-6)
         rng = substream(6, "gap-law", f"{a},{b}", k)
         roots = rng.uniform(size=1_000_000)
-        ells, _ = population_step(roots, Beta(a, b), rng, k)
+        ells, _ = drawn_step(roots, Beta(a, b), rng, k)
         assert abs(ells.mean() - 2.0 * half) < 5.0 * ells.std() / math.sqrt(ells.size)
 
     def test_population_step_matches_scalar(self):
@@ -354,7 +481,7 @@ class TestMultisection:
                 roots = np.array([r])
                 for _ in range(30):
                     ell, r = multisection_step(r, k, rng_scalar)
-                    ells, roots = population_step(roots, Uniform(), rng_pop, k)
+                    ells, roots = drawn_step(roots, Uniform(), rng_pop, k)
                     assert (ells.tolist(), roots.tolist()) == ([ell], [r])
 
     def test_population_cut_layout(self):
@@ -362,7 +489,7 @@ class TestMultisection:
         k, m = 3, 50
         roots = substream(2, "rs").uniform(size=m)
         cuts = Uniform().sample(substream(2, "cuts"), size=k * m).reshape(k, m)
-        ells, new_roots = population_step(roots, Uniform(), substream(2, "cuts"), k)
+        ells, new_roots = drawn_step(roots, Uniform(), substream(2, "cuts"), k)
         for i, r in enumerate(roots):
             lo = max((c for c in cuts[:, i] if c < r), default=0.0)
             hi = min((c for c in cuts[:, i] if c >= r), default=1.0)
@@ -378,8 +505,7 @@ class TestMultisection:
             cuts = np.sort(substream(seed, "end", k).uniform(size=k))
             lo, hi = (0.0, cuts[0]) if r == 0.0 else (cuts[-1], 1.0)
             ell, r_next = multisection_step(r, k, substream(seed, "end", k))
-            ells, roots = population_step(
-                np.array([r]), Uniform(), substream(seed, "end", k), k)
+            ells, roots = drawn_step(np.array([r]), Uniform(), substream(seed, "end", k), k)
             assert ell == ells[0] == hi - lo
             assert r_next == roots[0] == (r - lo) / (hi - lo)
 
@@ -387,7 +513,7 @@ class TestMultisection:
     def test_tie_keeps_the_lower_gap(self, k):
         # A cut equal to the root keeps [lo, c] in all three rules.
         roots = np.array([0.25, 0.5, 0.75])
-        ells, new_roots = population_step(roots, PointMass(0.5), substream(5, "tie"), k)
+        ells, new_roots = population_step(roots, np.full((k, 3), 0.5))
         assert ells.tolist() == [0.5, 0.5, 0.5]
         assert new_roots.tolist() == [0.5, 1.0, 0.5]
         assert skewed_dyadic(0.5, 0.5) == 1.0
@@ -412,7 +538,7 @@ class TestMultisection:
 
     def test_population_rejects_no_cuts(self):
         with pytest.raises(ValueError, match="at least one cut"):
-            population_step(np.array([0.5]), Uniform(), substream(3, "k0"), 0)
+            population_step(np.array([0.5]), np.empty((0, 1)))
 
     def test_rejects_no_cuts(self):
         with pytest.raises(ValueError):
@@ -434,7 +560,7 @@ class TestStationarityAndIndependence:
         roots = rng.uniform(size=m)
         crit = ks_critical_value(m)
         for _ in range(10):
-            _, roots = population_step(roots, Beta(2, 2), rng)
+            _, roots = drawn_step(roots, Beta(2, 2), rng)
             assert ks_statistic(roots) < crit
 
     def test_multisection_stationary(self):
@@ -443,7 +569,7 @@ class TestStationarityAndIndependence:
         roots = rng.uniform(size=m)
         crit = ks_critical_value(m)
         for _ in range(10):
-            _, roots = population_step(roots, Uniform(), rng, 3)
+            _, roots = drawn_step(roots, Uniform(), rng, 3)
             assert ks_statistic(roots) < crit
 
     def test_k_cut_stationary_under_beta_cuts(self):
@@ -452,7 +578,7 @@ class TestStationarityAndIndependence:
         roots = rng.uniform(size=m)
         crit = ks_critical_value(m)
         for _ in range(10):
-            _, roots = population_step(roots, Beta(2, 2), rng, 3)
+            _, roots = drawn_step(roots, Beta(2, 2), rng, 3)
             assert ks_statistic(roots) < crit
 
     @pytest.mark.parametrize("cut", [Uniform(), Beta(2, 2), Bates(20)],
@@ -463,7 +589,7 @@ class TestStationarityAndIndependence:
         roots = rng.uniform(size=m)
         ells = np.empty((6, m))
         for n in range(6):
-            ells[n], roots = population_step(roots, cut, rng)
+            ells[n], roots = drawn_step(roots, cut, rng)
         corr = np.corrcoef(ells)
         off = corr[~np.eye(6, dtype=bool)]
         assert np.max(np.abs(off)) < 4.0 / math.sqrt(m)
@@ -473,7 +599,7 @@ class TestStationarityAndIndependence:
         m = 200_000
         rng = substream(3, "indep")
         roots = rng.uniform(size=m)
-        ells, r1 = population_step(roots, Beta(2, 2), rng)
+        ells, r1 = drawn_step(roots, Beta(2, 2), rng)
         for t in (0.3, 0.7):
             for u in (0.5, 0.8):
                 joint = np.mean((r1 < t) & (ells < u))

@@ -14,9 +14,9 @@ from stochbisect.distributions import (
     PointMass,
     Uniform,
 )
-from stochbisect.engine import population_step
 from stochbisect.markov import GridCdf, ell_cdf_general
 from stochbisect.seeding import substream
+from step_oracle import drawn_step
 
 DENSITY_KINDS = [Uniform(), Beta(2, 2), Beta(0.5, 2), Beta(2, 0.5), Bates(20)]
 ALL_KINDS = DENSITY_KINDS + [PointMass(0.5), Empirical([0.2, 0.5, 0.7])]
@@ -92,7 +92,7 @@ class TestContractionMoments:
     def test_variance_monte_carlo_cross_check(self, dist):
         rng = substream(0, "var-mc", dist.spec)
         roots = rng.uniform(size=1_000_000)
-        ells, _ = population_step(roots, dist, rng)
+        ells, _ = drawn_step(roots, dist, rng)
         assert abs(ells.var() - theory.contraction_variance(dist)) < 5e-4
 
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.spec)
@@ -188,8 +188,8 @@ class TestExpectedIntervalLength:
     def test_uniform_monte_carlo_cross_check(self):
         rng = substream(1, "len-mc")
         roots = rng.uniform(size=1_000_000)
-        e1, roots = population_step(roots, Uniform(), rng)
-        e2, _ = population_step(roots, Uniform(), rng)
+        e1, roots = drawn_step(roots, Uniform(), rng)
+        e2, _ = drawn_step(roots, Uniform(), rng)
         lengths = e1 * e2
         se = lengths.std() / math.sqrt(lengths.size)
         assert abs(lengths.mean() - 4 / 9) < 3 * se

@@ -177,12 +177,12 @@ class Distribution(ABC):
         """
 
     def sample(self, rng: np.random.Generator, size: int | tuple | None = None):
-        """One draw (size=None) or an array of i.i.d. draws."""
+        """One draw (size=None) or an array of i.i.d. draws, on the calling thread."""
         return self._sample(rng, size)
 
     @abstractmethod
     def _sample(self, rng: np.random.Generator, size: int | tuple | None):
-        """Draw as `sample` does; runs numpy only, so a worker thread may call it."""
+        """Draw as `sample` does, numpy only: `engine._evolve`'s worker thread calls it."""
 
     @abstractmethod
     def cdf(self, x: float) -> float:

@@ -12,9 +12,9 @@ one-cut rule to a bracket of a user-supplied f, keeping one
 `IterationRecord` per step. A record is a named tuple: immutable, read by
 field name, and cheap to build.
 
-Cuts are drawn on the calling thread, except that `_cut_blocks` draws a
-population experiment's blocks of `_PREFETCH_MIN_CUTS` cuts or more one
-step ahead on a worker thread, taking the same draws in the same order.
+`_evolve` steps a population experiment's chains, drawing each step's cut
+block on the calling thread, or, from `_PREFETCH_MIN_CUTS` cuts, one step
+ahead on a worker thread, taking the same draws in the same order.
 """
 
 from __future__ import annotations
@@ -77,62 +77,64 @@ def draw_cut(cut_dist: Distribution, rng: np.random.Generator) -> float:
     c = float(cut_dist.sample(rng))
     if 0.0 < c < 1.0:
         return c
-    return float(_accepted(cut_dist, _redraw_endpoints(np.array([c]), cut_dist.sample, rng))[0])
+    return float(_redraw_endpoints(np.array([c]), cut_dist.sample, rng, cut_dist.spec)[0])
 
 
 def _draw_cuts(cut_dist: Distribution, rng: np.random.Generator, size: int) -> np.ndarray:
     """One block of `size` cuts in (0, 1), drawn on the calling thread."""
-    return _accepted(cut_dist, _sampled_cuts(cut_dist.sample, rng, size))
+    return _sampled_cuts(cut_dist.sample, rng, size, cut_dist.spec)
 
 
-def _sampled_cuts(sample, rng: np.random.Generator, size: int) -> np.ndarray | None:
+def _sampled_cuts(sample, rng: np.random.Generator, size: int, spec: str) -> np.ndarray:
     """`size` draws of `sample`, endpoints redrawn; a worker may pass a law's `_sample`."""
-    return _redraw_endpoints(np.asarray(sample(rng, size=size), dtype=float), sample, rng)
+    return _redraw_endpoints(np.asarray(sample(rng, size=size), dtype=float), sample, rng, spec)
 
 
-def _redraw_endpoints(cuts: np.ndarray, sample, rng: np.random.Generator) -> np.ndarray | None:
-    """`cuts`, each at 0 or 1, or NaN, redrawn in place by `sample`; None if one stays."""
+def _redraw_endpoints(cuts: np.ndarray, sample, rng: np.random.Generator, spec: str) -> np.ndarray:
+    """`cuts`, each at 0 or 1, or NaN, redrawn in place by `sample`.
+
+    A cut that stays raises `CutRedrawError`, naming the law by the string `spec`,
+    so that a worker thread may raise it.
+    """
     for redraws in range(_MAX_REDRAWS + 1):
         bad = ~((cuts > 0.0) & (cuts < 1.0))  # NaN is redrawn too
         if not bad.any():
             return cuts
         if redraws < _MAX_REDRAWS:  # the last redraw is checked, never redrawn
             cuts[bad] = sample(rng, size=int(bad.sum()))
-    return None
-
-
-def _accepted(cut_dist: Distribution, cuts: np.ndarray | None) -> np.ndarray:
-    """`cuts`, or `CutRedrawError` for None; on the calling thread, as `spec` is public."""
-    if cuts is None:
-        raise CutRedrawError(
-            f"{cut_dist.spec} kept producing cuts at 0 or 1 after {_MAX_REDRAWS} redraws")
-    return cuts
+    raise CutRedrawError(f"{spec} kept producing cuts at 0 or 1 after {_MAX_REDRAWS} redraws")
 
 
 # Smaller blocks are drawn inline: the worker's hand-offs would cost more than they save.
 _PREFETCH_MIN_CUTS = 2 ** 16
 
 
-def _cut_blocks(cut_dist: Distribution, rng: np.random.Generator, steps: int, shape: tuple):
-    """The cut blocks of `steps` population steps, each of `shape`, in order.
+def _evolve(roots: np.ndarray, cut_dist: Distribution, rng: np.random.Generator, steps: int):
+    """Yield (ells, roots) after each of `steps` one-cut `population_step`s of `roots`.
 
-    Each takes the draws of `_draw_cuts`; a large one is drawn a step ahead
-    by a worker, so nothing else may draw from `rng` meanwhile. Close the
-    generator (`closing`) so that a failing caller stops the worker first.
+    The cuts take the draws of `_draw_cuts`; from `_PREFETCH_MIN_CUTS` chains a
+    worker draws them a step ahead, so nothing else may draw from `rng` meanwhile.
+    Close the generator (`closing`) so that a failing caller stops the worker first.
     """
-    size = math.prod(shape)
+    size = roots.size
     if size < _PREFETCH_MIN_CUTS:
-        yield from (_draw_cuts(cut_dist, rng, size).reshape(shape) for _ in range(steps))
+        for _ in range(steps):
+            ells, roots = population_step(roots, _draw_cuts(cut_dist, rng, size)[None])
+            yield ells, roots
+            del ells  # held into the next step, they would raise the heap's peak by a block
         return
     # Imported on use: at module level it would add ~3 ms to every package import.
     from concurrent.futures import ThreadPoolExecutor
+    draw = (_sampled_cuts, cut_dist._sample, rng, size, cut_dist.spec)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = worker.submit(_sampled_cuts, cut_dist._sample, rng, size)
+        pending = worker.submit(*draw)
         for step in range(1, steps + 1):
-            cuts = _accepted(cut_dist, pending.result())
+            cuts = pending.result()
             if step < steps:
-                pending = worker.submit(_sampled_cuts, cut_dist._sample, rng, size)
-            yield cuts.reshape(shape)
+                pending = worker.submit(*draw)
+            ells, roots = population_step(roots, cuts[None])
+            yield ells, roots
+            del ells
 
 
 class IterationRecord(NamedTuple):
@@ -188,13 +190,14 @@ def bisection_run(
     A cut with f(cut) == 0 stops the run with `terminated_by ==
     "exact_root"`; its record has a == b == cut and ell == L == 0. A NaN
     or infinite value of f raises `NonFiniteValueError`; a zero at either
-    starting endpoint raises `BracketError`.
+    starting endpoint, or a starting width b - a that is not finite, raises
+    `BracketError`.
     """
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
     a, b = float(a), float(b)
-    if not a < b:
-        raise BracketError(f"need a < b, got [{a}, {b}]")
+    if not (a < b and math.isfinite(b - a)):
+        raise BracketError(f"need a < b and a finite width b - a, got [{a}, {b}]")
     fa, fb = _finite(a, f(a)), _finite(b, f(b))
     if fa == 0.0 or fb == 0.0 or (fa < 0.0) == (fb < 0.0):
         raise BracketError(f"f does not change sign on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
@@ -241,7 +244,7 @@ def multisection_step(
         raise DomainError(f"r must lie in [0, 1], got {r}")
     cuts = rng.random(k).tolist()
     if 0.0 in cuts:  # uniform draws lie in [0, 1): redraw a cut at 0
-        cuts = _accepted(_UNIFORM, _redraw_endpoints(np.array(cuts), _UNIFORM.sample, rng)).tolist()
+        cuts = _redraw_endpoints(np.array(cuts), _UNIFORM.sample, rng, _UNIFORM.spec).tolist()
     lo = max((c for c in cuts if c < r), default=0.0)
     hi = min((c for c in cuts if c >= r), default=1.0)
     ell = hi - lo

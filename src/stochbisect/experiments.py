@@ -6,7 +6,9 @@ index), so reports are reproducible byte for byte and runs could execute
 in any order or in parallel. Results come back as an `ExperimentReport`
 (config echo, labelled cells with theory references, named data series)
 that serializes to CSV or JSON and parses back losslessly. A series is its
-column names and a (rows x columns) float array.
+column names and a (rows x columns) float array. The population runners
+(stationarity, decay, correlation) keep only their own statistics:
+`engine._evolve` draws their cuts and steps their chains.
 
 The statistical conventions are constants, not runner parameters, each
 defined by the module that computes with it: `stats.LEVEL` (95% intervals),
@@ -31,13 +33,7 @@ import numpy as np
 
 from . import stats, theory
 from .distributions import parse_spec
-from .engine import (
-    TERMINATED_MAX_ITERATIONS,
-    _cut_blocks,
-    bisection_run,
-    multisection_step,
-    population_step,
-)
+from .engine import TERMINATED_MAX_ITERATIONS, _evolve, bisection_run, multisection_step
 from .markov import DELTA, GridCdf, band_epsilon, hn_mean_var, iterate_operator, rate_bound
 from .seeding import substream
 from .stats import IntervalEstimate
@@ -443,6 +439,17 @@ def run_fixed_root_experiment(
     return report
 
 
+def _population(experiment: str, root_dist: str, dist: str, runs: int, iters: int, seed: int):
+    """(root law, cut law, first roots, steps); roots and cuts share one substream.
+
+    Enter `steps`, a `closing` over `engine._evolve`, to iterate its (ells, roots).
+    """
+    root_law, cut_dist = parse_spec(root_dist), parse_spec(dist)
+    rng = substream(seed, experiment)
+    roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
+    return root_law, cut_dist, roots, closing(_evolve(roots, cut_dist, rng, iters))
+
+
 _ENDPOINT_EPS = 1e-12
 
 
@@ -465,16 +472,12 @@ def run_stationarity_experiment(
     """
     if runs < 2 or iters < 1:
         raise ValueError("need runs >= 2 and iters >= 1")
-    root_law = parse_spec(root_dist)
-    cut_dist = parse_spec(dist)
-
-    rng = substream(seed, "stationarity")
-    roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
+    root_law, cut_dist, _, evolution = _population(
+        "stationarity", root_dist, dist, runs, iters, seed)
     critical = stats.ks_critical_value(runs)
     ks_rows = []
-    with closing(_cut_blocks(cut_dist, rng, iters, (1, runs))) as blocks:
-        for n, cuts in enumerate(blocks, 1):
-            _, roots = population_step(roots, cuts)
+    with evolution as steps:
+        for n, (_, roots) in enumerate(steps, 1):
             ks_rows.append((n, stats.ks_statistic(roots), critical))
 
     ks = ks_rows[-1][1]
@@ -523,19 +526,15 @@ def run_decay_experiment(
         raise ValueError("need runs >= 100")
     if iters < 2:
         raise ValueError("need iters >= 2")
-    root_law = parse_spec(root_dist)
-    cut_dist = parse_spec(dist)
-
-    rng = substream(seed, "decay")
-    roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
+    root_law, cut_dist, roots, evolution = _population(
+        "decay", root_dist, dist, runs, iters, seed)
     mu_ell = theory.expected_contraction(cut_dist)
 
     ks_values = [stats.ks_statistic(roots)]
     mean_devs: list[float] = []
     standard_errors: list[float] = []
-    with closing(_cut_blocks(cut_dist, rng, iters, (1, runs))) as blocks:
-        for cuts in blocks:
-            ells, roots = population_step(roots, cuts)
+    with evolution as steps:
+        for ells, roots in steps:
             ks_values.append(stats.ks_statistic(roots))
             mean_devs.append(abs(float(ells.mean()) - mu_ell))
             standard_errors.append(float(ells.std()) / math.sqrt(runs))
@@ -593,15 +592,12 @@ def run_correlation_experiment(
         raise ValueError("need iters >= 2")
     if runs < 2:
         raise ValueError("need runs >= 2")
-    root_law = parse_spec(root_dist)
-    cut_dist = parse_spec(dist)
-
-    rng = substream(seed, "correlation")
-    roots = np.asarray(root_law.sample(rng, size=runs), dtype=float)
+    root_law, cut_dist, _, evolution = _population(
+        "correlation", root_dist, dist, runs, iters, seed)
     ells = np.empty((iters, runs))
-    with closing(_cut_blocks(cut_dist, rng, iters, (1, runs))) as blocks:
-        for n, cuts in enumerate(blocks):
-            ells[n], roots = population_step(roots, cuts)
+    with evolution as steps:
+        for n in range(iters):  # no loop variable holds a step's factors into the next
+            ells[n], _ = next(steps)
 
     corr = stats.correlation_matrix(ells)
     off_diagonal = corr[~np.eye(iters, dtype=bool)]

@@ -6,8 +6,8 @@ the cut rows. These oracles write the rule out another way, so the tests
 can replay a step's cuts and compare every factor and new root exactly:
 `skewed_dyadic` is the one-cut map for one root, branch by branch, and
 `k_cut_step` is the masked reduction over all k cut rows at once.
-`drawn_step` is the step as the experiments take it, on the next block of
-cuts drawn from a stream.
+`drawn_step` is the step as `engine._evolve` takes it for the population
+experiments, on the next block of cuts drawn from a stream.
 """
 
 import numpy as np
@@ -45,8 +45,8 @@ def k_cut_step(roots: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndar
 def drawn_step(roots, law, rng, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """`population_step` on the next (k, *roots.shape) cut block from `rng`.
 
-    The block takes the draws of `_draw_cuts`, as every population
-    experiment's block does: k rows of M, so chain i takes draws i, M + i, ...
+    The block takes the draws of `_draw_cuts`, as each block `_evolve` steps
+    on does: k rows of M, so chain i takes draws i, M + i, ...
     """
     roots = np.asarray(roots, dtype=float)
     return population_step(roots, _draw_cuts(law, rng, k * roots.size).reshape(k, *roots.shape))

@@ -15,8 +15,8 @@ from stochbisect.engine import (
     BracketError,
     CutRedrawError,
     NonFiniteValueError,
-    _cut_blocks,
     _draw_cuts,
+    _evolve,
     _sampled_cuts,
     bisection_run,
     draw_cut,
@@ -175,6 +175,14 @@ class TestBisectionRun:
         with pytest.raises(BracketError):
             bisection_run(lambda x: x - 0.5, 1.0, 0.0, Uniform(), 1e-8, 10,
                           substream(4, "bad"))
+
+    @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (0.0, math.inf), (-math.inf, 1.0),
+                                      (-math.inf, math.inf)])
+    def test_non_finite_width_is_not_a_bracket(self, a, b):
+        # b - a is inf, so a + (b - a) * c is inf or NaN: the cut leaves [a, b].
+        with pytest.raises(BracketError, match="finite width"):
+            bisection_run(lambda x: math.tanh(x - 0.5), a, b, Uniform(), 1e-10, 100,
+                          substream(4, "wide"))
 
     def test_mean_scaling_ci_contains_two_thirds(self):
         # fixed root 0.3, uniform cuts, 500 runs x 30 iterations
@@ -345,29 +353,34 @@ _BLOCK_LAWS = [Empirical([0.0, 0.25, 0.5, 1.0]), Bates(20), Beta(0.003, 0.003)]
 
 
 class TestCutBlocks:
-    """The population experiments' cut blocks, drawn one step ahead past a size."""
+    """The population experiments' steps, their cut blocks drawn one step ahead past a size."""
 
     @pytest.mark.parametrize("size", [_PREFETCH_MIN_CUTS - 1, _PREFETCH_MIN_CUTS],
                              ids=["inline", "prefetched"])
     @pytest.mark.parametrize("law", _BLOCK_LAWS, ids=lambda law: law.spec)
     def test_blocks_are_the_sequential_draws(self, law, size):
-        # Bit for bit the blocks `_draw_cuts` draws in turn, redraws included,
-        # with the same final stream; only the larger block is drawn off the thread.
+        # Bit for bit the steps `drawn_step` takes in turn, redraws included,
+        # with the same final stream; only the larger block is drawn off the
+        # thread, and every step runs on the calling thread.
         rng, ref = substream(5, "blocks", law.spec), substream(5, "blocks", law.spec)
-        blocks = []
-        seen = codes_called_off_thread(lambda: blocks.extend(_cut_blocks(law, rng, 3, (1, size))))
+        roots = substream(5, "roots").random(size)
+        steps = []
+        seen = codes_called_off_thread(lambda: steps.extend(_evolve(roots, law, rng, 3)))
         assert (_sampled_cuts.__code__ in seen) == (size >= _PREFETCH_MIN_CUTS)
-        assert len(blocks) == 3
-        for block in blocks:
-            assert block.shape == (1, size)
-            assert np.array_equal(block[0], _draw_cuts(law, ref, size))
+        assert population_step.__code__ not in seen
+        assert len(steps) == 3
+        for ells, new_roots in steps:
+            assert ells.shape == new_roots.shape == (size,)
+            expected_ells, roots = drawn_step(roots, law, ref)
+            assert np.array_equal(ells, expected_ells)
+            assert np.array_equal(new_roots, roots)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("size", [_PREFETCH_MIN_CUTS - 1, _PREFETCH_MIN_CUTS],
                              ids=["inline", "prefetched"])
     def test_stall_raises_at_the_block_that_stalls(self, size):
-        # The third block and all its redraws land on 0: both paths hand
-        # over two blocks, then raise the same error for the third.
+        # The third block and all its redraws land on 0: both paths take
+        # two steps, then raise the same error for the third.
         law, draws = Uniform(), []
         real = law._sample
 
@@ -378,8 +391,8 @@ class TestCutBlocks:
         law._sample = stalls_from_the_third_block
         handed = []
         with pytest.raises(CutRedrawError) as error:
-            for block in _cut_blocks(law, substream(5, "stall"), 4, (1, size)):
-                handed.append(block)
+            for step in _evolve(np.full(size, 0.5), law, substream(5, "stall"), 4):
+                handed.append(step)
         assert len(handed) == 2
         assert str(error.value) == "uniform kept producing cuts at 0 or 1 after 100 redraws"
         assert draws == [size] * 3 + [size] * 100  # no fourth block is drawn
@@ -404,8 +417,10 @@ class TestCutBlocks:
 
     def test_success_leaves_no_thread(self):
         before = threading.active_count()
-        run_stationarity_experiment("uniform", "beta:2,2", 70_000, 3)
-        assert threading.active_count() == before
+        for runner in (run_stationarity_experiment, run_decay_experiment,
+                       run_correlation_experiment):
+            runner("uniform", "beta:2,2", 70_000, 3)
+            assert threading.active_count() == before
 
     @pytest.mark.parametrize("failing", ["worker", "caller", "both"])
     def test_failure_raises_and_leaves_no_thread(self, monkeypatch, failing):
@@ -429,7 +444,7 @@ class TestCutBlocks:
         monkeypatch.setattr(Beta, "_sample", second_block)
         monkeypatch.setattr(stats_module, "ks_statistic", first_statistic)
         before = threading.active_count()
-        # The held error keeps the runner's frame, and so its blocks, alive.
+        # The held error keeps the runner's frame, and so its steps, alive.
         with pytest.raises(MemoryError) as error:
             run_stationarity_experiment("uniform", "beta:2,2", 70_000, 5)
         assert threading.active_count() == before

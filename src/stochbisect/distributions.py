@@ -193,6 +193,13 @@ class Distribution(ABC):
         """(mean, variance) in closed form."""
 
     def pdf(self, x) -> float | np.ndarray:
+        """Density at x, a scalar or an array of any shape: 0 outside [0, 1], NaN at NaN."""
+        x = np.asarray(x, dtype=float)
+        out = np.where((x >= 0.0) & (x <= 1.0), self._density(x), np.where(np.isnan(x), x, 0.0))
+        return out if out.ndim else float(out)
+
+    def _density(self, x: np.ndarray) -> np.ndarray:
+        """The density elementwise, in x's shape; `pdf` keeps only the points in [0, 1]."""
         raise NoDensityError(f"{self.spec} has no density")
 
     def mass_at(self, x: float) -> float:
@@ -262,9 +269,8 @@ class Uniform(Distribution):
     def moments(self):
         return 0.5, 1.0 / 12.0
 
-    def pdf(self, x):
-        out = np.ones_like(np.asarray(x, dtype=float))
-        return out if out.ndim else float(out)
+    def _density(self, x):
+        return np.ones_like(x)
 
     def _measure(self, breakpoints):
         return _merge_ties(*_gauss_measure(1.0, breakpoints))  # density 1
@@ -319,9 +325,8 @@ class Beta(Distribution):
         var = a * b / ((a + b) ** 2 * (a + b + 1.0))
         return mu, var
 
-    def pdf(self, x):
-        out = _beta_density(np.asarray(x, dtype=float), self.a, self.b, self._log_beta)
-        return out if out.ndim else float(out)
+    def _density(self, x):
+        return _beta_density(x, self.a, self.b, self._log_beta)
 
     def _measure(self, breakpoints):
         # [1/2, 1] under Beta(a, b) is [0, 1/2] under Beta(b, a), mirrored by
@@ -416,10 +421,9 @@ class Bates(Distribution):
     def moments(self):
         return 0.5, 1.0 / (12.0 * self.n)
 
-    def pdf(self, x):
+    def _density(self, x):
         self._check_accuracy()
-        out = self.n * self._folded_sum(x, self.n - 1)[1]
-        return out if out.ndim else float(out)
+        return self.n * self._folded_sum(x, self.n - 1)[1]
 
     def _measure(self, breakpoints):
         pts, wts = _gauss_measure(1.0, np.append(breakpoints, np.arange(1, self.n) / self.n))

@@ -166,9 +166,6 @@ class RunTrace:
     def ells(self) -> np.ndarray:
         return np.array([rec.ell for rec in self.records])
 
-    def final_length(self) -> float:
-        return self.records[-1].L if self.records else 1.0
-
 
 def bisection_run(
     f: Callable[[float], float],

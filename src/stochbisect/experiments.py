@@ -6,9 +6,11 @@ index), so reports are reproducible byte for byte and runs could execute
 in any order or in parallel. Results come back as an `ExperimentReport`
 (config echo, labelled cells with theory references, named data series)
 that serializes to CSV or JSON and parses back losslessly. A series is its
-column names and a (rows x columns) float array. The population runners
-(stationarity, decay, correlation) keep only their own statistics:
-`engine._evolve` draws their cuts and steps their chains.
+column names and a (rows x columns) float array. The scaling runners
+(contraction, ksection) only fill the (runs, iters) factor matrix that is
+`_scaling_report`'s single input. The population runners (stationarity,
+decay, correlation) keep only their own statistics: `engine._evolve`
+draws their cuts and steps their chains.
 
 The statistical conventions are constants, not runner parameters, each
 defined by the module that computes with it: `stats.LEVEL` (95% intervals),
@@ -24,6 +26,7 @@ import csv
 import io
 import json
 import math
+import sys
 from collections.abc import Sequence
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -278,28 +281,28 @@ def parse_report_csv(text: str) -> dict:
     return payload
 
 
-def _interval_after_root(est: IntervalEstimate, power: float) -> IntervalEstimate:
-    # x -> x^power is monotone on [0, inf), so endpoints map to endpoints.
-    return IntervalEstimate(est.point**power, est.lower**power, est.upper**power,
-                            est.level, est.method)
-
-
 def _scaling_report(
     experiment: str,
     head: dict,
     ells: np.ndarray,
-    final_lengths: np.ndarray,
     reference: float,
     seed: int,
 ) -> ExperimentReport:
-    # `ells` is (runs, iters). The run is the resampling unit, since the
-    # factors within a run are dependent unless the root is uniform.
+    # `ells` is (runs, iters), the only input: a run's final length is its
+    # factors' product in step order. The run is the resampling unit, since
+    # the factors within a run are dependent unless the root is uniform.
     runs, iters = ells.shape
     mean_ci = stats.bootstrap_mean_ci(
         ells.mean(axis=1), rng=substream(seed, experiment, "bootstrap-ell"))
-    length_ci = stats.bootstrap_mean_ci(
-        final_lengths, rng=substream(seed, experiment, "bootstrap-length"))
-    geo_ci = _interval_after_root(length_ci, 1.0 / iters)
+    length_ci = stats.bootstrap_mean_ci(np.multiply.accumulate(ells, axis=1)[:, -1],
+                                        rng=substream(seed, experiment, "bootstrap-length"))
+    if length_ci.lower < sys.float_info.min:
+        raise ArithmeticError(
+            f"{experiment}: the final-length interval reaches {length_ci.lower!r}, "
+            f"below the smallest normal float, after {iters} iterations; run fewer")
+    root = 1.0 / iters  # x -> x^root is monotone on [0, inf): endpoints map to endpoints
+    geo_ci = IntervalEstimate(length_ci.point**root, length_ci.lower**root,
+                              length_ci.upper**root, length_ci.level, length_ci.method)
     return ExperimentReport(
         experiment,
         {**head, "runs": runs, "iters": iters, "seed": seed,
@@ -336,7 +339,6 @@ def run_contraction_experiment(
     cut_dist = parse_spec(dist)
 
     ells = np.empty((runs, iters))
-    final_lengths = np.empty(runs)
     for m in range(runs):
         rng = substream(seed, "contraction", m)
         root = float(rng.uniform())
@@ -346,9 +348,8 @@ def run_contraction_experiment(
                 f"contraction run {m} stopped after {len(trace)} of {iters} "
                 f"iterations, at a width below {_MIN_WIDTH:g} or on the root")
         ells[m] = trace.ells()
-        final_lengths[m] = trace.final_length()
 
-    report = _scaling_report("contraction", {"cut": cut_dist.spec}, ells, final_lengths,
+    report = _scaling_report("contraction", {"cut": cut_dist.spec}, ells,
                              theory.expected_contraction(cut_dist), seed)
     report.cells.append(Cell("theory_contraction_variance",
                              value=theory.contraction_variance(cut_dist)))
@@ -364,7 +365,8 @@ def run_ksection_experiment(
     """Scaling factors of the K-cut variant with uniform cuts and root.
 
     As in `run_contraction_experiment`, the bootstrap CIs resample whole
-    runs: the per-run mean factor and the per-run final length.
+    runs: the per-run mean factor and the per-run final length. A length
+    interval reaching below the normal floats raises `ArithmeticError`.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -372,19 +374,13 @@ def run_ksection_experiment(
         raise ValueError("need runs >= 2 and iters >= 1")
 
     ells = np.empty((runs, iters))
-    final_lengths = np.empty(runs)
     for m in range(runs):
         rng = substream(seed, "ksection", k, m)
         r = float(rng.uniform())
-        length = 1.0
         for i in range(iters):
-            ell, r = multisection_step(r, k, rng)
-            ells[m, i] = ell
-            length *= ell
-        final_lengths[m] = length
+            ells[m, i], r = multisection_step(r, k, rng)
 
-    return _scaling_report("ksection", {"k": k}, ells, final_lengths,
-                           theory.ksection_expected(k), seed)
+    return _scaling_report("ksection", {"k": k}, ells, theory.ksection_expected(k), seed)
 
 
 def run_fixed_root_experiment(

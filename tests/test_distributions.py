@@ -643,6 +643,19 @@ class TestDensity:
         assert Bates(n).pdf(0.0) == 0.0
         assert Bates(n).pdf(1.0) == 0.0
 
+    @pytest.mark.parametrize("spec", ["uniform", "beta:2,2", "beta:0.5,2", "bates:3"])
+    def test_pdf_zero_outside_unit_interval_and_nan_at_nan(self, spec):
+        dist = parse_spec(spec)
+        outside = [-math.inf, -0.5, -1e-300, 1.0 + 2.0**-52, 1.5, math.inf]
+        for x in outside:
+            value = dist.pdf(x)
+            assert type(value) is float and value == 0.0
+        assert math.isnan(dist.pdf(math.nan))
+        values = dist.pdf(np.array([*outside, math.nan, 0.25, 0.5]).reshape(3, 3)).ravel()
+        assert values[:6].tolist() == [0.0] * 6
+        assert math.isnan(values[6])
+        assert values[7:].tolist() == [dist.pdf(0.25), dist.pdf(0.5)]
+
     def test_bates_pdf_array_matches_pointwise(self):
         xs = np.concatenate([np.linspace(0.0, 1.0, 101),
                              substream(3, "bates-pdf").uniform(size=200)])

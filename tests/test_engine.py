@@ -165,7 +165,7 @@ class TestBisectionRun:
             rec.ell = 0.25
         assert (rec.n, rec.a, rec.b, rec.cut, rec.ell, rec.L) == (1, 0.0, 0.5, 0.5, 0.5, 0.5)
         assert np.array_equal(trace.ells(), np.full(27, 0.5))
-        assert trace.final_length() == 2.0 ** -27
+        assert trace.records[-1].L == 2.0 ** -27
         assert trace.records[-1].n == 27
 
     def test_invalid_bracket(self):

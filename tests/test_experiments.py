@@ -161,6 +161,18 @@ class TestKsection:
         eb = b.cell("mean_scaling_factor").estimate
         assert ea.overlaps(eb.lower, eb.upper)
 
+    @pytest.mark.parametrize("k, iters", [(2, 1000), (6, 500)])
+    def test_final_length_below_normal_floats_raises(self, k, iters):
+        # The geometric mean read 0.0 at both ends here, against 1/2 and 1/4.
+        with pytest.raises(ArithmeticError, match="below the smallest normal float"):
+            ex.run_ksection_experiment(k, runs=20, iters=iters)
+
+    def test_final_length_above_normal_floats_keeps_the_report(self):
+        est = ex.run_ksection_experiment(6, runs=20, iters=450).cell(
+            "geometric_mean_length").estimate
+        assert (est.point, est.lower, est.upper) == (
+            0.21252969740304592, 0.2076241782204984, 0.21304854318800162)
+
 
 class TestScalingCells:
     """`contraction` and `ksection` bootstrap whole runs, not single factors."""
@@ -175,7 +187,7 @@ class TestScalingCells:
         for rep in range(reps):
             draws = substream(rep, "dependent-runs").uniform(size=(runs, 1))
             ells = np.repeat(draws, iters, axis=1)
-            cell = ex._scaling_report("dependent", {}, ells, ells.prod(axis=1), 0.5, rep).cells[0]
+            cell = ex._scaling_report("dependent", {}, ells, 0.5, rep).cells[0]
             hits += cell.estimate.contains(0.5)
         assert 0.90 <= hits / reps <= 0.99
 
@@ -183,7 +195,7 @@ class TestScalingCells:
         # Dyadic draws keep every row mean exact.
         draws = substream(SEED, "constant-runs").integers(1, 64, size=50) / 64
         ells = np.repeat(draws[:, None], 8, axis=1)
-        cell = ex._scaling_report("constant", {}, ells, ells.prod(axis=1), 0.5, SEED).cells[0]
+        cell = ex._scaling_report("constant", {}, ells, 0.5, SEED).cells[0]
         expected = stats.bootstrap_mean_ci(
             draws, rng=substream(SEED, "constant", "bootstrap-ell"))
         assert cell.estimate == expected

@@ -1,4 +1,5 @@
 import copy
+import logging
 import pickle
 import threading
 import time
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from operator_oracle import apply_operator_to_function
-from stochbisect import markov, theory
+from stochbisect import cli, markov, theory
 from stochbisect.distributions import Bates, Beta, Empirical, PointMass, Uniform
 from stochbisect.markov import (
     EndpointAtomError,
@@ -251,6 +252,49 @@ class TestApplyOperator:
             q = theory.cut_concavity(cut)
             got = apply_operator_to_function(lambda x: x * x, cut, ts)
             assert np.max(np.abs(got - (2 * ts * (1 - ts) * q + ts * ts))) < 1e-8
+
+
+class TestRepairBudget:
+    """T's output is clamped nondecreasing only within the 1e-9 budget."""
+
+    NODE = 20  # an interior node of the 65-node grid
+
+    def dip(self, monkeypatch, depth):
+        # Lower the main branch at NODE until T's output there, for the
+        # cubic under beta:2,2 cuts, sits `depth` below its value at NODE - 1.
+        out = apply_operator(cubic_grid(65), Beta(2, 2)).values
+        drop = out[self.NODE] - out[self.NODE - 1] + depth
+        kernel = markov._scale_mixture
+
+        def dipped(g, pts, wts):
+            values = kernel(g, pts, wts)
+            if pts[0] < pts[-1]:  # the main branch; the reflected one gets 1 - pts
+                values[self.NODE] -= drop
+            return values
+
+        monkeypatch.setattr(markov, "_scale_mixture", dipped)
+
+    def test_dip_past_the_budget_raises(self, monkeypatch):
+        self.dip(monkeypatch, 1e-6)
+        with pytest.raises(ArithmeticError, match="exceeds the 1e-09 budget"):
+            apply_operator(cubic_grid(65), Beta(2, 2))
+
+    def test_dip_past_the_budget_exits_3(self, monkeypatch, capsys):
+        self.dip(monkeypatch, 1e-6)
+        argv = ["operator", "--dist", "beta:2,2", "--k", "1", "--grid", "65"]
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        assert "exceeds the 1e-09 budget" in capsys.readouterr().err
+
+    def test_dip_within_the_budget_is_repaired_and_logged(self, monkeypatch, caplog):
+        self.dip(monkeypatch, 1e-12)
+        with caplog.at_level(logging.DEBUG, logger=markov.__name__):
+            values = apply_operator(cubic_grid(65), Beta(2, 2)).values
+        assert np.all(np.diff(values) >= 0.0)
+        assert values[self.NODE] == values[self.NODE - 1]
+        [record] = [r for r in caplog.records if r.name == markov.__name__]
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith("monotone repair applied")
+        assert record.args[0] == pytest.approx(1e-12, rel=1e-3)
 
 
 class TestIterateOperator:

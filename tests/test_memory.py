@@ -24,8 +24,9 @@ def _traced_peak(call, *args) -> int:
 
 
 def test_csv_writer_peak_is_about_twice_the_text():
-    # A 100k-row Q-Q series as the stationarity report carries it; building
-    # the rows as Python lists first peaked at 7.5 times the text.
+    # A 100k-row two-column series, as a long `--iters` run carries one (a
+    # Q-Q series stops at 1,000 rows); building the rows as Python lists
+    # first peaked at 7.5 times the text.
     rows = np.sort(substream(1, "qq-memory").uniform(size=(100_000, 2)), axis=0)
     report = ExperimentReport("stationarity", {})
     report.add_series("qq", ["theoretical", "empirical"], rows)

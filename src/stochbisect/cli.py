@@ -8,7 +8,10 @@ parameter of its function: the flag is the parameter name with dashes for
 underscores, its type is the parameter's annotation, it is required
 exactly when the parameter has no default, and `--help` shows that
 default. Adding a runner or a runner parameter therefore needs no edit
-here. Omitted flags stay out of the parsed namespace, so the function's
+here. `main` builds the parser once per process and looks each runner up
+in `experiments` by its subcommand's name when it runs the command, so a
+rebound `experiments.run_*` attribute (a wrapper, say) is what runs.
+Omitted flags stay out of the parsed namespace, so the function's
 signature holds every default. Settings no caller varies (interval level,
 bootstrap resamples, KS level, band width, K-section table size) are
 constants in `experiments`, not flags. Reports are written as CSV
@@ -62,6 +65,14 @@ _HELP = {
 }
 
 
+# Subcommand name -> its runner's name in `experiments`, in `__all__` order.
+_RUNNERS = {
+    name.removeprefix("run_").removesuffix("_experiment").removesuffix("_report")
+    .replace("_", "-"): name
+    for name in experiments.__all__ if name.startswith("run_")
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochbisect",
@@ -69,11 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "stationarity, operator iteration, and theory values.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Each runner is looked up now, so a rebound module attribute is what runs.
-    for name in (n for n in experiments.__all__ if n.startswith("run_")):
+    # Each runner is looked up here for its flags and help, and again by `main`
+    # when it runs, so a parser built before a module attribute is rebound
+    # still runs the rebound function.
+    for command, name in _RUNNERS.items():
         run = getattr(experiments, name)
-        command = (name.removeprefix("run_").removesuffix("_experiment")
-                   .removesuffix("_report").replace("_", "-"))
         summary = (run.__doc__ or "").strip().partition("\n")[0]
         p = sub.add_parser(command, argument_default=argparse.SUPPRESS, help=summary)
         p.set_defaults(run=run)
@@ -88,11 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first `main` call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    kwargs = vars(parser.parse_args(argv))
-    del kwargs["command"]
-    run = kwargs.pop("run")
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    kwargs = vars(_parser.parse_args(argv))
+    del kwargs["run"]
+    run = getattr(experiments, _RUNNERS[kwargs.pop("command")])
     fmt, out = kwargs.pop("format"), kwargs.pop("out")
     start = time.perf_counter()
     try:

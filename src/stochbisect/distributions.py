@@ -365,8 +365,8 @@ class Bates(Distribution):
     Sampling gives `rng.uniform(size=(n, *size)).mean(axis=0)` bit for
     bit without building that block: n rows of `size` doubles are added
     in row order and divided by n. One draw (no size, or a one-element
-    size) is the pairwise `sum` of n doubles over n, as numpy's `mean`
-    takes it for a single column.
+    size) is the pairwise sum (`np.add.reduce`) of n doubles over n, as
+    numpy's `mean` takes it for a single column.
 
     The closed-form moments hold for any n.
     The CDF/PDF use the rescaled Irwin-Hall alternating sum with
@@ -391,7 +391,7 @@ class Bates(Distribution):
     def _sample(self, rng, size):
         n = self.n
         if size is None or np.prod(size) == 1:
-            draw = float(rng.random(n).sum()) / n
+            draw = float(np.add.reduce(rng.random(n))) / n
             return draw if size is None else np.full(size, draw)
         total = rng.random(size)
         for _ in range(n - 1):

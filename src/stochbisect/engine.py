@@ -9,8 +9,10 @@ kernel: it advances many independent chains on a given block of cuts,
 drawn from any law, for the statistical experiments. `multisection_step`
 is the scalar step with uniform cuts, and `bisection_run` applies the
 one-cut rule to a bracket of a user-supplied f, keeping one
-`IterationRecord` per step. A record is a named tuple: immutable, read by
-field name, and cheap to build.
+`IterationRecord` per step. A record is a named tuple: immutable and read
+by field name. `bisection_run` builds each one with `tuple.__new__`,
+skipping the named tuple's Python-level constructor, and draws each cut
+with one `draw_cut` call.
 
 `_evolve` steps a population experiment's chains, drawing each step's cut
 block on the calling thread, or, from `_PREFETCH_MIN_CUTS` cuts, one step
@@ -199,28 +201,34 @@ def bisection_run(
     if fa == 0.0 or fb == 0.0 or (fa < 0.0) == (fb < 0.0):
         raise BracketError(f"f does not change sign on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
 
-    width0 = b - a
-    trace = RunTrace()
+    # The loop runs once per step of every scalar run: globals and attributes
+    # are read once, finiteness is tested inline (`_finite` only raises), and
+    # f(a)'s sign is kept, as a cut replacing a keeps it.
+    width0 = width = b - a
+    records = []
+    append, new, record = records.append, tuple.__new__, IterationRecord
+    draw, isfinite = draw_cut, math.isfinite
+    negative = fa < 0.0
     length = 1.0
     n = 0
-    while b - a >= tol and n < max_iter:
-        c = draw_cut(cut_dist, rng)
-        cut = a + (b - a) * c
-        fc = _finite(cut, f(cut))
+    while width >= tol and n < max_iter:
+        cut = a + width * draw(cut_dist, rng)
+        fc = f(cut)
+        if not isfinite(fc):
+            _finite(cut, fc)
         n += 1
         if fc == 0.0:
-            trace.records.append(IterationRecord(n, cut, cut, cut, 0.0, 0.0))
-            trace.terminated_by = TERMINATED_EXACT_ROOT
-            return trace
-        if (fc < 0.0) != (fa < 0.0):
+            append(new(record, (n, cut, cut, cut, 0.0, 0.0)))
+            return RunTrace(records, TERMINATED_EXACT_ROOT)
+        if (fc < 0.0) != negative:
             b = cut
         else:
-            a, fa = cut, fc
-        ell = (b - a) / (width0 * length)
-        length = (b - a) / width0
-        trace.records.append(IterationRecord(n, a, b, cut, ell, length))
-    trace.terminated_by = TERMINATED_TOLERANCE if b - a < tol else TERMINATED_MAX_ITERATIONS
-    return trace
+            a = cut
+        width = b - a
+        ell = width / (width0 * length)
+        length = width / width0
+        append(new(record, (n, a, b, cut, ell, length)))
+    return RunTrace(records, TERMINATED_TOLERANCE if width < tol else TERMINATED_MAX_ITERATIONS)
 
 
 def multisection_step(
@@ -242,8 +250,13 @@ def multisection_step(
     cuts = rng.random(k).tolist()
     if 0.0 in cuts:  # uniform draws lie in [0, 1): redraw a cut at 0
         cuts = _redraw_endpoints(np.array(cuts), _UNIFORM.sample, rng, _UNIFORM.spec).tolist()
-    lo = max((c for c in cuts if c < r), default=0.0)
-    hi = min((c for c in cuts if c >= r), default=1.0)
+    lo, hi = 0.0, 1.0  # every cut lies in (0, 1), inside the sentinels
+    for c in cuts:
+        if c < r:
+            if c > lo:
+                lo = c
+        elif c < hi:
+            hi = c
     ell = hi - lo
     return ell, (r - lo) / ell
 

@@ -14,6 +14,7 @@ from stochbisect.engine import (
     _PREFETCH_MIN_CUTS,
     BracketError,
     CutRedrawError,
+    IterationRecord,
     NonFiniteValueError,
     _draw_cuts,
     _evolve,
@@ -30,7 +31,13 @@ from stochbisect.experiments import (
 )
 from stochbisect.seeding import substream
 from stochbisect.stats import bootstrap_mean_ci, ks_critical_value, ks_statistic
-from step_oracle import drawn_step, k_cut_step, skewed_dyadic
+from step_oracle import (
+    drawn_step,
+    k_cut_step,
+    reference_bisection_run,
+    reference_multisection_step,
+    skewed_dyadic,
+)
 from thread_probe import codes_called_off_thread, public_code
 
 
@@ -266,6 +273,104 @@ class TestBisectionRun:
         with pytest.raises(ValueError, match="tol"):
             bisection_run(lambda x: x - 0.3, 0.0, 1.0, Uniform(), math.nan, 10,
                           substream(8, "nan-tol"))
+
+
+class TestScalarStepsMatchTheReference:
+    """The scalar steps give the frozen references' records, stops, errors and draws."""
+
+    STREAMS = 200
+    LAWS = {
+        "uniform": Uniform(),
+        "beta:2,2": Beta(2, 2),
+        "bates:20": Bates(20),
+        "beta:0.003,0.003": Beta(0.003, 0.003),  # most draws land on 0 or 1: redrawn
+        "empirical": Empirical(np.r_[0.0, 1.0, substream(9, "emp").beta(2, 5, size=40)]),
+        "point:0.5": PointMass(0.5),  # stops at dyadic roots
+    }
+
+    @staticmethod
+    def _problem(i: int):
+        """(f, a, b) for stream i: shifted lines with dyadic and drawn roots, cos, a cubic."""
+        if i % 4 == 0:
+            return np.cos, 1.0, 2.0
+        if i % 4 == 1:
+            return (lambda x: x ** 3 - 2.0 * x - 5.0), 2.0, 3.0
+        root = (1 + 2 * (i % 16)) / 32 if i % 4 == 2 else float(substream(9, "root", i).random())
+        return (lambda x: x - root), 0.0, 1.0
+
+    @staticmethod
+    def _bits(trace):
+        return [tuple(map(repr, rec)) for rec in trace.records], trace.terminated_by
+
+    @pytest.mark.parametrize("spec", list(LAWS))
+    def test_bisection_run_records(self, spec):
+        law, stops = self.LAWS[spec], set()
+        for i in range(self.STREAMS):
+            f, a, b = self._problem(i)
+            got_rng, want_rng = substream(9, spec, i), substream(9, spec, i)
+            got = bisection_run(f, a, b, law, 1e-12, 60, got_rng)
+            want = reference_bisection_run(f, a, b, law, 1e-12, 60, want_rng)
+            assert all(type(rec) is IterationRecord for rec in got.records)
+            assert self._bits(got) == self._bits(want), (spec, i)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            stops.add(got.terminated_by)
+        if spec == "point:0.5":
+            assert stops == {"exact_root", "tolerance"}
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_multisection_step(self, k):
+        for i in range(self.STREAMS):
+            got_rng, want_rng = substream(9, "ms", k, i), substream(9, "ms", k, i)
+            # Every fourth chain starts on its first cut: the tie c == r keeps [lo, c].
+            r = float(substream(9, "ms", k, i).random()) if i % 4 == 0 else i / (self.STREAMS - 1)
+            s = r
+            for _ in range(5):
+                got = multisection_step(r, k, got_rng)
+                want = reference_multisection_step(s, k, want_rng)
+                assert tuple(map(repr, got)) == tuple(map(repr, want)), (k, i)
+                r, s = got[1], want[1]
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @staticmethod
+    def _error(step, *args):
+        with pytest.raises(Exception) as info:
+            step(*args)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("f, a, b, law", [
+        (lambda x, bad: bad if x == 0.5 else x - 0.3, 0.0, 1.0, PointMass(0.5)),  # at a cut
+        (lambda x, bad: bad if abs(x - 0.3) < 1e-3 else x - 0.3, 0.0, 1.0, Uniform()),  # later
+        (lambda x, bad: bad if x == 0.0 else x - 0.3, 0.0, 1.0, Uniform()),  # at a
+        (lambda x, bad: bad if x == 1.0 else x - 0.3, 0.0, 1.0, Uniform()),  # at b
+    ])
+    def test_non_finite_f_errors(self, f, a, b, law, bad):
+        g = lambda x: f(x, bad)
+        got = self._error(bisection_run, g, a, b, law, 1e-12, 60, substream(9, "nan"))
+        want = self._error(reference_bisection_run, g, a, b, law, 1e-12, 60, substream(9, "nan"))
+        assert got == want
+        assert got[0] is NonFiniteValueError
+
+    @pytest.mark.parametrize("f, a, b, tol", [
+        (lambda x: x + 2.0, 0.0, 1.0, 1e-8),  # no sign change
+        (lambda x: x, 0.0, 1.0, 1e-8),  # zero at a
+        (lambda x: x - 1.0, 0.0, 1.0, 1e-8),  # zero at b
+        (lambda x: x - 0.5, 1.0, 0.0, 1e-8),  # a > b
+        (lambda x: x - 0.5, 0.5, 0.5, 1e-8),  # a == b
+        (lambda x: math.tanh(x), -1e308, 1e308, 1e-8),  # width overflows
+        (lambda x: x - 0.5, 0.0, math.inf, 1e-8),
+        (lambda x: x - 0.3, 0.0, 1.0, math.nan),  # NaN tol
+    ])
+    def test_bad_bracket_errors(self, f, a, b, tol):
+        got = self._error(bisection_run, f, a, b, Uniform(), tol, 60, substream(9, "bad"))
+        want = self._error(reference_bisection_run, f, a, b, Uniform(), tol, 60,
+                           substream(9, "bad"))
+        assert got == want
+
+    @pytest.mark.parametrize("r, k", [(0.5, 0), (0.5, -1), (1.5, 2), (-0.1, 2), (math.nan, 2)])
+    def test_multisection_errors(self, r, k):
+        got = self._error(multisection_step, r, k, substream(9, "bad"))
+        assert got == self._error(reference_multisection_step, r, k, substream(9, "bad"))
 
 
 class TestPopulationStep:

@@ -461,6 +461,26 @@ class TestParser:
         monkeypatch.setattr(ex, "run_theory_report", wrapped)
         assert _subparsers()["theory"].get_default("run") is wrapped
 
+    def test_main_builds_the_parser_once_and_runs_the_rebound_runner(self, monkeypatch, capsys):
+        from stochbisect import cli
+
+        assert main(["theory", "--dist", "uniform"]) == EXIT_OK
+        expected = capsys.readouterr().out
+        calls, original = [], ex.run_theory_report
+
+        def wrapped(dist: str):
+            calls.append(dist)
+            return original(dist)
+
+        def rebuilt():
+            raise AssertionError("main built the parser again")
+
+        monkeypatch.setattr(ex, "run_theory_report", wrapped)
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert main(["theory", "--dist", "uniform"]) == EXIT_OK
+        assert calls == ["uniform"]
+        assert capsys.readouterr().out == expected
+
 
 class TestCli:
     def test_report_written_and_parseable(self, tmp_path, capsys):

@@ -29,8 +29,6 @@ from .theory import (
     contraction_variance,
     ell_pdf,
     expected_contraction,
-    ksection_conditional,
-    ksection_expected,
 )
 
 __version__ = "0.1.0"
@@ -55,8 +53,6 @@ __all__ = [
     "expected_contraction",
     "iterate_operator",
     "ks_statistic",
-    "ksection_conditional",
-    "ksection_expected",
     "multisection_step",
     "parse_spec",
     "population_step",

@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         run = getattr(experiments, name)
         summary = (run.__doc__ or "").strip().partition("\n")[0]
         p = sub.add_parser(command, argument_default=argparse.SUPPRESS, help=summary)
-        p.set_defaults(run=run)
         for param in inspect.signature(run, eval_str=True).parameters.values():
             required = param.default is param.empty
             shown = "" if required else f" (default: {param.default})"
@@ -107,7 +106,6 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:
         _parser = build_parser()
     kwargs = vars(_parser.parse_args(argv))
-    del kwargs["run"]
     run = getattr(experiments, _RUNNERS[kwargs.pop("command")])
     fmt, out = kwargs.pop("format"), kwargs.pop("out")
     start = time.perf_counter()

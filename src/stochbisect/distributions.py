@@ -6,7 +6,8 @@ exposes exact sampling, CDF evaluation, closed-form moments, and a
 quadrature measure `quadrature()` (nodes and weights) for dF: E[g(X)] is
 the weighted sum of g at the nodes. The theory layer and the operator
 layer in `markov` both read the measure directly, and pass the known
-kinks of an integrand as breakpoints. Every density measure comes from
+kinks of an integrand as breakpoints; each law names where its own F is
+not smooth (`_kinks`). Every density measure comes from
 one Gauss-Legendre builder on [0, hi], `_gauss_measure`: Uniform and
 Bates use [0, 1], and Beta joins [0, 1/2] of itself to [0, 1/2] of
 Beta(b, a) mirrored by x -> 1 - x. The Beta CDF is the regularized
@@ -239,6 +240,15 @@ class Distribution(ABC):
     def _measure(self, breakpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Build the measure `quadrature` memoizes, for a 1-D float array of breakpoints."""
 
+    def _kinks(self) -> tuple[np.ndarray, tuple[bool, bool]]:
+        """Where F is not smooth: the points in (0, 1), then whether at 0 and at 1.
+
+        An atom, or a knot of a piecewise density, needs a panel edge in a
+        Gauss rule for an integrand built from F, and an end where a
+        derivative of F blows up needs graded panels (see `theory`).
+        """
+        return np.empty(0), (False, False)
+
     def _check_domain(self, x: float) -> float:
         x = float(x)
         if not 0.0 <= x <= 1.0:
@@ -327,6 +337,10 @@ class Beta(Distribution):
 
     def _density(self, x):
         return _beta_density(x, self.a, self.b, self._log_beta)
+
+    def _kinks(self):
+        # x^s is smooth at 0 only for a whole s, and s < 1 is never whole.
+        return np.empty(0), (self.a != round(self.a), self.b != round(self.b))
 
     def _measure(self, breakpoints):
         # [1/2, 1] under Beta(a, b) is [0, 1/2] under Beta(b, a), mirrored by
@@ -425,8 +439,11 @@ class Bates(Distribution):
         self._check_accuracy()
         return self.n * self._folded_sum(x, self.n - 1)[1]
 
+    def _kinks(self):
+        return np.arange(1, self.n) / self.n, (False, False)
+
     def _measure(self, breakpoints):
-        pts, wts = _gauss_measure(1.0, np.append(breakpoints, np.arange(1, self.n) / self.n))
+        pts, wts = _gauss_measure(1.0, np.append(breakpoints, self._kinks()[0]))
         return _merge_ties(pts, wts * self.pdf(pts))
 
 
@@ -454,6 +471,9 @@ class PointMass(Distribution):
 
     def mass_at(self, x):
         return 1.0 if self._check_domain(x) == self.c else 0.0
+
+    def _kinks(self):
+        return np.array([self.c]), (False, False)
 
     def _measure(self, breakpoints):
         return np.array([self.c]), np.array([1.0])
@@ -500,6 +520,9 @@ class Empirical(Distribution):
         x = self._check_domain(x)
         return float(np.searchsorted(self.samples, x, side="right")
                      - np.searchsorted(self.samples, x, side="left")) / self.samples.size
+
+    def _kinks(self):
+        return self._atoms[0], (False, False)
 
     def _measure(self, breakpoints):
         return self._atoms  # the same atoms for every breakpoint set

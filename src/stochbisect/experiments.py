@@ -35,7 +35,7 @@ from itertools import repeat
 import numpy as np
 
 from . import stats, theory
-from .distributions import parse_spec
+from .distributions import Uniform, parse_spec
 from .engine import TERMINATED_MAX_ITERATIONS, _evolve, bisection_run, multisection_step
 from .markov import DELTA, GridCdf, band_epsilon, hn_mean_var, iterate_operator, rate_bound
 from .seeding import substream
@@ -380,7 +380,8 @@ def run_ksection_experiment(
         for i in range(iters):
             ells[m, i], r = multisection_step(r, k, rng)
 
-    return _scaling_report("ksection", {"k": k}, ells, theory.ksection_expected(k), seed)
+    return _scaling_report("ksection", {"k": k}, ells,
+                           theory.expected_contraction(Uniform(), k), seed)
 
 
 def run_fixed_root_experiment(
@@ -670,10 +671,10 @@ def run_operator_experiment(
 
 
 def run_theory_report(dist: str) -> ExperimentReport:
-    """Closed-form quantities for a cut law, plus the K-section rates.
+    """Closed-form quantities for a cut law, plus its K-section rates.
 
-    The `ksection` series is 2/(K+2) for K = 1..`K_MAX`: the rate of K
-    uniform cuts per step, the same whatever `dist` is.
+    The `ksection` series is the law's own E[ell_K] for K = 1..`K_MAX` cuts
+    per step and a uniform root; its K = 1 row is `expected_contraction`.
     """
     law = parse_spec(dist)
     mu, var = law.moments()
@@ -695,6 +696,6 @@ def run_theory_report(dist: str) -> ExperimentReport:
     )
     report.add_series(
         "ksection", ["k", "expected_scaling"],
-        [(kk, theory.ksection_expected(kk)) for kk in range(1, K_MAX + 1)],
+        [(kk, theory.expected_contraction(law, kk)) for kk in range(1, K_MAX + 1)],
     )
     return report

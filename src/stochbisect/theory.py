@@ -15,14 +15,33 @@ H(t) itself is `markov.ell_cdf_general` on the identity grid
 `GridCdf.identity(2)`, which is the uniform root law; this module
 provides the density h(t) and the moments.
 
-The K-cut generalization (uniform cuts) contracts by E[ell] = 2/(K+2).
+With K i.i.d. cuts per step, a point y stays with the root r exactly when
+no cut falls between them (a cut equal to r keeps the lower gap), so
+
+    E[ell_K | r] = int_0^1 (1 - |F(y) - F(r-)|)^K dy,
+    E[ell_K] = int_0^1 E[ell_K | r] dr = 2 int_{x<y} (1 - F(y) + F(x))^K dx dy
+
+for a uniform root: 2/(K+2) for uniform cuts, and from K = 2 on no
+function of q alone (bates:3 and beta:4,4 share q = 2/9 but not E[ell_2]).
+`conditional_expected_length` and `expected_contraction` take K as `k`;
+K = 1 keeps the closed forms above.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
-from .distributions import Distribution, DomainError
+from .distributions import (
+    _GL_POINTS,
+    _GL_WEIGHTS,
+    _GRADING,
+    _MIN_PANELS,
+    Distribution,
+    DomainError,
+    _gauss_measure,
+)
 
 __all__ = [
     "cut_concavity",
@@ -30,9 +49,14 @@ __all__ = [
     "expected_contraction",
     "contraction_variance",
     "ell_pdf",
-    "ksection_conditional",
-    "ksection_expected",
 ]
+
+# _PARTIAL[i, m] * _GL_WEIGHTS[m] is the weight of node m in the integral from
+# -1 to node i of the degree-15 interpolant through the 16 Gauss-Legendre
+# nodes; held per unit Gauss weight, it takes a panel's width from its weights.
+_PARTIAL = (np.polynomial.legendre.legval(
+    _GL_POINTS, np.polynomial.legendre.legint(np.eye(16), lbnd=-1.0)).T
+    @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_POINTS, 15))) / _GL_WEIGHTS
 
 
 def cut_concavity(cut_dist: Distribution) -> float:
@@ -41,23 +65,78 @@ def cut_concavity(cut_dist: Distribution) -> float:
     return mu - mu * mu - var
 
 
-def conditional_expected_length(r0: float, cut_dist: Distribution) -> float:
-    """E[ell | root at r0] = int_{r0}^1 c dF + int_0^{r0} (1-c) dF.
+def _cut_count(k) -> int:
+    if int(k) != k or k < 1:
+        raise ValueError(f"need a whole number of cuts k >= 1, got k={k}")
+    return int(k)
 
-    The cut keeps [0, c] when c >= r0 (factor c) and [c, 1] otherwise
-    (factor 1 - c); splitting the quadrature at r0 keeps the indicator
-    kink on a panel boundary.
+
+def conditional_expected_length(r0: float, cut_dist: Distribution, k: int = 1) -> float:
+    """E[ell_K | root at r0] for K = `k` i.i.d. cuts from `cut_dist`.
+
+    At k = 1 it is int_{r0}^1 c dF + int_0^{r0} (1-c) dF: the cut keeps
+    [0, c] when c >= r0 (factor c) and [c, 1] otherwise (factor 1 - c);
+    splitting the quadrature at r0 keeps the indicator kink on a panel
+    boundary. Larger k integrates (1 - |F(y) - F(r0-)|)^K over y.
     """
     r0 = float(r0)
     if not 0.0 <= r0 <= 1.0:
         raise DomainError(f"r0 must be in [0, 1], got {r0}")
+    k = _cut_count(k)
+    if k > 1:
+        return _k_cut_length(cut_dist, k, r0)
     pts, wts = cut_dist.quadrature((r0,))
     return float(wts @ np.where(pts >= r0, pts, 1.0 - pts))
 
 
-def expected_contraction(cut_dist: Distribution) -> float:
-    """E[ell] = 1 - 2 q for a uniform root; lies in [1/2, 1]."""
+def expected_contraction(cut_dist: Distribution, k: int = 1) -> float:
+    """E[ell_K] for K = `k` cuts and a uniform root: 1 - 2 q in [1/2, 1] at k = 1."""
+    k = _cut_count(k)
+    if k > 1:
+        return _k_cut_length(cut_dist, k)
     return 1.0 - 2.0 * cut_concavity(cut_dist)
+
+
+def _k_cut_length(cut_dist: Distribution, k: int, r0: float | None = None) -> float:
+    """E[ell_K | root at r0], or E[ell_K] for a uniform root when r0 is None.
+
+    A composite Gauss rule for dy on [0, 1] carries the integrand: 16 nodes
+    on each panel of `_gauss_measure`, with r0 and the points where F is not
+    smooth (atoms, Bates knots: the law's `_kinks`) as panel edges, and
+    graded panels at an end where F is not smooth. F at its nodes is the
+    prefix sum of `cut_dist.quadrature` with those nodes as breakpoints. The
+    uniform-root mean expands (1 - F(y) + F(x))^K binomially into terms
+    C(K, j) (1 - F(y))^(K-j) F(x)^j, so it needs B_j(y) = int_0^y F^j at the
+    nodes: whole earlier panels plus the partial integral `_PARTIAL` of the
+    node's own panel.
+    """
+    knots, (rough_lo, rough_hi) = cut_dist._kinks()
+    graded = _GRADING / _MIN_PANELS
+    edges = np.concatenate((knots, () if r0 is None else (r0,),
+                            graded if rough_lo else (), 1.0 - graded if rough_hi else ()))
+    y, wy = (a.reshape(-1, 16) for a in _gauss_measure(1.0, edges))
+
+    pts, wts = cut_dist.quadrature(y.ravel() if r0 is None else np.append(y, r0))
+    # A plain running sum drifts by ~N ulps over N weights; adding back each
+    # step's rounding error (TwoSum) keeps F, and 2/(K+2) for uniform cuts,
+    # to about an ulp.
+    running = np.cumsum(wts)
+    before = np.concatenate(([0.0], running[:-1]))
+    added = running - before
+    running += np.cumsum((before - (running - added)) + (wts - added))
+    prefix = np.concatenate(([0.0], running))  # prefix[i] = P[c < pts[i]]
+    cdf = prefix[np.searchsorted(pts, y)]
+    if r0 is not None:
+        below = prefix[np.searchsorted(pts, r0)]  # F(r0-)
+        return float(wy.ravel() @ ((1.0 - np.abs(cdf - below)) ** k).ravel())
+
+    total = 0.0
+    for j in range(k + 1):
+        weighted = wy * cdf ** j
+        sums = weighted.sum(axis=1)
+        upto = (np.cumsum(sums) - sums)[:, None] + weighted @ _PARTIAL.T
+        total += comb(k, j) * float(np.sum(wy * (1.0 - cdf) ** (k - j) * upto))
+    return 2.0 * total
 
 
 def contraction_variance(cut_dist: Distribution) -> float:
@@ -75,20 +154,3 @@ def ell_pdf(cut_dist: Distribution, t: float) -> float:
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must be in (0, 1), got {t}")
     return t * (cut_dist.pdf(t) + cut_dist.pdf(1.0 - t))
-
-
-def ksection_conditional(r0: float, k: int) -> float:
-    """E[ell | root at r0] for K uniform cuts: (2 - r0^(K+1) - (1-r0)^(K+1)) / (K+1)."""
-    r0 = float(r0)
-    if not 0.0 <= r0 <= 1.0:
-        raise DomainError(f"r0 must be in [0, 1], got {r0}")
-    if k < 1:
-        raise ValueError(f"need at least one cut, got k={k}")
-    return (2.0 - r0 ** (k + 1) - (1.0 - r0) ** (k + 1)) / (k + 1)
-
-
-def ksection_expected(k: int) -> float:
-    """E[ell] = 2/(K+2) for K uniform cuts and a uniform root."""
-    if k < 1:
-        raise ValueError(f"need at least one cut, got k={k}")
-    return 2.0 / (k + 2)

@@ -15,7 +15,7 @@ from operator_oracle import apply_operator_to_function
 from step_oracle import drawn_step
 from stochbisect import experiments as ex
 from stochbisect import theory
-from stochbisect.distributions import parse_spec
+from stochbisect.distributions import Uniform, parse_spec
 from stochbisect.experiments import DEFAULT_SEED, report_to_csv, report_to_json
 from stochbisect.markov import (
     GridCdf,
@@ -235,8 +235,9 @@ def test_criterion_11_closed_form_cross_validation():
     r = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     for k in range(1, 11):
-        integral = float(w @ [theory.ksection_conditional(float(x), k) for x in r])
-        ok = ok and abs(integral - theory.ksection_expected(k)) < 1e-10
+        integral = float(w @ [theory.conditional_expected_length(float(x), Uniform(), k)
+                              for x in r])
+        ok = ok and abs(integral - theory.expected_contraction(Uniform(), k)) < 1e-10
     _criterion(11, "Monte Carlo matches closed forms within 3 SE; K-section integral to 1e-10",
                ok, "; ".join(details))
 

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stochbisect import cli, stats
 from stochbisect import experiments as ex
-from stochbisect import stats
 from stochbisect.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from stochbisect.experiments import (
     parse_report_csv,
@@ -337,11 +337,16 @@ def _readme_commands() -> list[list[str]]:
             if line.startswith("stochbisect ")]
 
 
+def _runner(name: str):
+    """The runner that subcommand `name` calls."""
+    return getattr(ex, cli._RUNNERS[name])
+
+
 def _runner_call(argv: list[str]):
     """(runner, keyword arguments) that the CLI would call for `argv`."""
     args = vars(build_parser().parse_args(argv))
-    run = args.pop("run")
-    for key in ("command", "format", "out"):
+    run = _runner(args.pop("command"))
+    for key in ("format", "out"):
         del args[key]
     return run, args
 
@@ -349,9 +354,8 @@ def _runner_call(argv: list[str]):
 def _runner_flags() -> list[tuple[str, str, inspect.Parameter]]:
     """(subcommand, flag, runner parameter) for every runner parameter."""
     return [(name, "--" + param.name.replace("_", "-"), param)
-            for name, sub in sorted(_subparsers().items())
-            for param in inspect.signature(sub.get_default("run"),
-                                           eval_str=True).parameters.values()]
+            for name in sorted(_subparsers())
+            for param in inspect.signature(_runner(name), eval_str=True).parameters.values()]
 
 
 _INT_FLAGS = [(name, flag) for name, flag, param in _runner_flags() if param.annotation is int]
@@ -366,12 +370,11 @@ class TestParser:
     def test_flags_are_the_runner_parameters(self, name):
         sub = _subparsers()[name]
         dests = {a.dest for a in sub._actions} - {"help", "format", "out"}
-        assert dests == set(inspect.signature(sub.get_default("run")).parameters)
+        assert dests == set(inspect.signature(_runner(name)).parameters)
 
     def test_omitted_flags_stay_out_of_the_namespace(self):
         args = vars(build_parser().parse_args(["ksection", "--k", "3"]))
-        assert args == {"command": "ksection", "run": ex.run_ksection_experiment,
-                        "k": 3, "format": "csv", "out": None}
+        assert args == {"command": "ksection", "k": 3, "format": "csv", "out": None}
 
     def test_omitted_flags_take_the_runner_defaults(self, capsys):
         assert main(["operator", "--k", "2", "--grid", "65"]) == EXIT_OK
@@ -440,7 +443,7 @@ class TestParser:
 
     @pytest.mark.parametrize("name", sorted(_subparsers()))
     def test_help_is_the_runner_docstring_summary(self, name):
-        summary = _subparsers()[name].get_default("run").__doc__.strip().splitlines()[0]
+        summary = _runner(name).__doc__.strip().splitlines()[0]
         text = " ".join(build_parser().format_help().split())  # rejoin wrapped lines
         assert f" {name} {summary} " in text
 
@@ -453,17 +456,7 @@ class TestParser:
         assert result.returncode == EXIT_OK, result.stderr
         assert result.stdout == report_to_csv(ex.run_theory_report("uniform"))
 
-    def test_runner_is_looked_up_when_the_parser_is_built(self, monkeypatch):
-        # A rebound module attribute (a wrapper, say) is what the CLI calls.
-        def wrapped(dist: str):
-            return ex.run_theory_report(dist)
-
-        monkeypatch.setattr(ex, "run_theory_report", wrapped)
-        assert _subparsers()["theory"].get_default("run") is wrapped
-
     def test_main_builds_the_parser_once_and_runs_the_rebound_runner(self, monkeypatch, capsys):
-        from stochbisect import cli
-
         assert main(["theory", "--dist", "uniform"]) == EXIT_OK
         expected = capsys.readouterr().out
         calls, original = [], ex.run_theory_report

@@ -23,7 +23,9 @@ CUTS = str(GOLDEN / "cuts.txt")
 # quadrature paths differ: a Beta and a Bates density, a point mass and an
 # empirical law (exact atoms), and the closed-form uniform case. The Beta
 # laws cover every quadrature region: left substitution (a < 1), right
-# substitution (b < 1), both at once, and graded fractional shapes.
+# substitution (b < 1), both at once, and graded fractional shapes. bates:3
+# and beta:4,4 share q = 2/9, so their K = 1 rates agree and their K-cut
+# rates must not.
 COMMANDS = {
     "contraction": "contraction --dist beta:2,2 --runs 20 --iters 10",
     "ksection": "ksection --k 2 --runs 20 --iters 10",
@@ -44,6 +46,8 @@ COMMANDS = {
     "theory_beta_right": "theory --dist beta:2,0.5",
     "theory_beta_fractional": "theory --dist beta:2.5,1.5",
     "theory_point": "theory --dist point:0.3",
+    "theory_bates_equal_q": "theory --dist bates:3",
+    "theory_beta_equal_q": "theory --dist beta:4,4",
     "theory_empirical": f"theory --dist empirical:{CUTS}",
 }
 

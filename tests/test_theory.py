@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from stochbisect.distributions import (
     NoDensityError,
     PointMass,
     Uniform,
+    parse_spec,
 )
 from stochbisect.markov import GridCdf, ell_cdf_general
 from stochbisect.seeding import substream
@@ -195,25 +197,52 @@ class TestExpectedIntervalLength:
         assert abs(lengths.mean() - 4 / 9) < 3 * se
 
 
+# Laws whose K-cut rates have no closed form: a singular density, a
+# piecewise-cubic one with knots at 1/3 and 2/3, and two atom sets.
+K_CUT_LAWS = [Beta(0.5, 2), Bates(3), PointMass(0.3),
+              parse_spec(f"empirical:{Path(__file__).parent / 'golden' / 'cuts.txt'}")]
+# Every cut law of a golden report, and the equal-q pair bates:3 and beta:4,4.
+GOLDEN_LAWS = K_CUT_LAWS + [Uniform(), Beta(2, 2), Beta(2, 0.5), Beta(2.5, 1.5),
+                            Beta(0.5, 0.5), Beta(5, 50), Bates(5), Bates(20),
+                            PointMass(0.5), Beta(4, 4)]
+
+
+def _uniform_conditional(r0, k):
+    """E[ell_K | r0] for K uniform cuts: (2 - r0^(K+1) - (1-r0)^(K+1)) / (K+1)."""
+    return (2.0 - r0 ** (k + 1) - (1.0 - r0) ** (k + 1)) / (k + 1)
+
+
 class TestKsection:
     def test_k1_coincides_with_single_cut(self):
         for r0 in (0.0, 0.25, 0.5, 0.9):
-            assert theory.ksection_conditional(r0, 1) == pytest.approx(
+            assert theory._k_cut_length(Uniform(), 1, r0) == pytest.approx(
                 theory.conditional_expected_length(r0, Uniform()), abs=1e-10)
 
     def test_expected_min_of_two_uniforms(self):
         # at r0 = 0 the kept gap is [0, min of the cuts]; E[min] = 1/3.
-        assert theory.ksection_conditional(0.0, 2) == pytest.approx(1 / 3, abs=1e-14)
+        assert theory.conditional_expected_length(0.0, Uniform(), 2) == pytest.approx(
+            1 / 3, abs=1e-14)
         rng = substream(2, "minmc")
         mins = rng.uniform(size=(500_000, 2)).min(axis=1)
         assert abs(mins.mean() - 1 / 3) < 3 * mins.std() / math.sqrt(mins.size)
 
     def test_k3_center_value(self):
-        assert theory.ksection_conditional(0.5, 3) == pytest.approx(15 / 32, abs=1e-14)
+        assert theory.conditional_expected_length(0.5, Uniform(), 3) == pytest.approx(
+            15 / 32, abs=1e-14)
 
     @pytest.mark.parametrize("k,expected", [(1, 2 / 3), (2, 0.5), (4, 1 / 3)])
     def test_ksection_expected(self, k, expected):
-        assert theory.ksection_expected(k) == pytest.approx(expected, abs=1e-15)
+        assert theory.expected_contraction(Uniform(), k) == pytest.approx(expected, abs=1e-14)
+
+    def test_uniform_cuts_match_the_closed_forms(self):
+        for k in range(1, 11):
+            assert abs(theory.expected_contraction(Uniform(), k) - 2 / (k + 2)) < 1e-14
+            for r0 in (0.0, 0.1, 0.37, 0.5, 0.8, 1.0):
+                assert abs(theory.conditional_expected_length(r0, Uniform(), k)
+                           - _uniform_conditional(r0, k)) < 1e-14
+
+    def test_beta22_two_cuts(self):
+        assert abs(theory.expected_contraction(Beta(2, 2), 2) - 31 / 70) < 1e-12
 
     def test_conditional_integrates_to_expected(self):
         # Gauss-Legendre nodes: the conditional is a degree K+1 polynomial,
@@ -222,11 +251,66 @@ class TestKsection:
         r = 0.5 * (nodes + 1.0)
         w = 0.5 * weights
         for k in range(1, 11):
-            integral = float(w @ [theory.ksection_conditional(float(x), k) for x in r])
-            assert integral == pytest.approx(theory.ksection_expected(k), abs=1e-10)
+            integral = float(w @ [theory.conditional_expected_length(float(x), Uniform(), k)
+                                  for x in r])
+            assert integral == pytest.approx(theory.expected_contraction(Uniform(), k), abs=1e-10)
 
     def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            theory.ksection_expected(0)
-        with pytest.raises(ValueError):
-            theory.ksection_conditional(0.5, 0)
+        for k in (0, -1, 2.5):
+            with pytest.raises(ValueError):
+                theory.expected_contraction(Uniform(), k)
+            with pytest.raises(ValueError):
+                theory.conditional_expected_length(0.5, Uniform(), k)
+
+
+class TestKCutLaws:
+    @pytest.mark.parametrize("law", K_CUT_LAWS, ids=lambda d: d.spec)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rates_match_population_step(self, law, k):
+        rng = substream(3, "k-cut-mc", law.spec, k)
+        chains = 200_000
+        cases = [(theory.expected_contraction(law, k), rng.uniform(size=chains))]
+        cases += [(theory.conditional_expected_length(r0, law, k), np.full(chains, r0))
+                  for r0 in (0.3, 0.31, 0.7)]  # 0.3 and 0.31 are atoms of two laws
+        for value, roots in cases:
+            ells, _ = drawn_step(roots, law, rng, k)
+            se = float(ells.std()) / math.sqrt(chains)
+            assert abs(float(ells.mean()) - value) <= 4.0 * se + 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_root_on_the_atom_keeps_the_lower_gap(self, k):
+        # A cut equal to the root keeps [0, c]; every other root keeps the gap
+        # on its side of the midpoint cut.
+        for r0 in (0.5, 0.9):
+            assert theory.conditional_expected_length(r0, PointMass(0.5), k) == pytest.approx(
+                0.5, abs=1e-14)
+        assert theory.conditional_expected_length(0.3, PointMass(0.3), k) == pytest.approx(
+            0.3, abs=1e-14)
+
+    @pytest.mark.parametrize("law", K_CUT_LAWS, ids=lambda d: d.spec)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_conditional_integrates_to_expected(self, law, k):
+        # r = u^2 smooths the singular end of beta:0.5,2; panel edges at the
+        # knots and atoms leave a smooth integrand on every panel.
+        knots = np.sqrt(law._kinks()[0])
+        edges = np.unique(np.concatenate((np.linspace(0.0, 1.0, 5), knots)))
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        integral = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            u = lo + 0.5 * (hi - lo) * (nodes + 1.0)
+            values = [theory.conditional_expected_length(x * x, law, k) for x in u]
+            integral += 0.5 * (hi - lo) * float((weights * 2.0 * u) @ values)
+        assert abs(integral - theory.expected_contraction(law, k)) < 1e-10
+
+    @pytest.mark.parametrize("law", GOLDEN_LAWS, ids=lambda d: d.spec)
+    def test_one_cut_matches_the_closed_forms(self, law):
+        assert abs(theory._k_cut_length(law, 1) - theory.expected_contraction(law)) < 1e-12
+        for r0 in np.linspace(0.0, 1.0, 11):
+            assert abs(theory._k_cut_length(law, 1, r0)
+                       - theory.conditional_expected_length(r0, law)) < 1e-12
+
+    def test_two_cut_rate_is_not_a_function_of_q(self):
+        # bates:3 and beta:4,4 share q = 2/9, and so E[ell_1] = 5/9.
+        bates, beta = Bates(3), Beta(4, 4)
+        assert theory.cut_concavity(bates) == pytest.approx(theory.cut_concavity(beta), abs=1e-15)
+        assert theory.expected_contraction(bates, 2) - theory.expected_contraction(beta, 2) > 6e-4

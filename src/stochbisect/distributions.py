@@ -378,9 +378,10 @@ class Bates(Distribution):
 
     Sampling gives `rng.uniform(size=(n, *size)).mean(axis=0)` bit for
     bit without building that block: n rows of `size` doubles are added
-    in row order and divided by n. One draw (no size, or a one-element
-    size) is the pairwise sum (`np.add.reduce`) of n doubles over n, as
-    numpy's `mean` takes it for a single column.
+    in row order and divided by n, each row after the first drawn into one
+    reused buffer. One draw (no size, or a one-element size) is the
+    pairwise sum (`np.add.reduce`) of n doubles over n, as numpy's `mean`
+    takes it for a single column.
 
     The closed-form moments hold for any n.
     The CDF/PDF use the rescaled Irwin-Hall alternating sum with
@@ -408,8 +409,9 @@ class Bates(Distribution):
             draw = float(np.add.reduce(rng.random(n))) / n
             return draw if size is None else np.full(size, draw)
         total = rng.random(size)
+        row = np.empty_like(total)
         for _ in range(n - 1):
-            total += rng.random(size)
+            total += rng.random(out=row)
         total /= n
         return total
 

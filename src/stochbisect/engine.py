@@ -274,7 +274,10 @@ def population_step(roots: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np
     The gap is found one cut row at a time, in place: every cut lies in
     (0, 1), so min(c, c < r) is c below the root and 0 otherwise, and
     max(c, c < r) is 1 below the root and c otherwise. A running maximum
-    and minimum of these give lo and hi with no k x M temporary.
+    and minimum of these give lo and hi with no k x M temporary. Each row
+    reuses one bool mask and one scratch row, and the factors and new roots
+    are then computed in place in hi and lo: four M-element buffers in all,
+    whatever k is.
     """
     roots = np.asarray(roots, dtype=float)
     cuts = np.asarray(cuts, dtype=float)
@@ -288,9 +291,11 @@ def population_step(roots: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np
     if not (least > 0.0 and greatest < 1.0):
         raise DomainError(f"cuts must lie in (0, 1), got min {least}, max {greatest}")
     lo, hi = np.zeros_like(roots), np.ones_like(roots)
+    below, scratch = np.empty(roots.shape, dtype=bool), np.empty_like(roots)
     for row in cuts:
-        below = row < roots
-        np.maximum(lo, np.minimum(row, below), out=lo)
-        np.minimum(hi, np.maximum(row, below), out=hi)
-    ells = hi - lo
-    return ells, (roots - lo) / ells
+        np.less(row, roots, out=below)
+        np.maximum(lo, np.minimum(row, below, out=scratch), out=lo)
+        np.minimum(hi, np.maximum(row, below, out=scratch), out=hi)
+    ells = np.subtract(hi, lo, out=hi)
+    np.subtract(roots, lo, out=lo)
+    return ells, np.divide(lo, ells, out=lo)

@@ -44,7 +44,11 @@ RESAMPLES = 2000  # bootstrap resamples per interval
 KS_ALPHA = 0.01  # KS test level
 QQ_ROWS = 1000  # most rows of a Q-Q series
 
-_CHUNK_ELEMENTS = 1 << 20  # caps each resample index matrix at ~8 MB
+# Each bootstrap chunk's index matrix and gathered resamples hold at most
+# this many elements: 512 KB apiece, a cache-sized working set.
+_CHUNK_ELEMENTS = 1 << 16
+# correlation_matrix centres at most this many elements (2 MB) at a time.
+_CORR_BLOCK_ELEMENTS = 1 << 18
 
 
 class DegenerateSampleError(ValueError):
@@ -145,8 +149,15 @@ def ks_statistic(samples: Sequence[float]) -> float:
     if not (samples[0] >= 0.0 and samples[-1] <= 1.0):
         raise DegenerateSampleError("KS statistic needs a sample in [0, 1]")
     m = samples.size
-    grid = np.arange(m + 1) / m
-    return float(max(np.max(grid[1:] - samples), np.max(samples - grid[:-1])))
+    # One m-element buffer at a time beside the sorted sample: the grid
+    # i/m is built in place, i = 1..m and then 0..m-1, and differenced there.
+    gap = np.arange(1.0, m + 1.0)
+    gap /= m
+    upper = np.subtract(gap, samples, out=gap).max()
+    del gap
+    gap = np.arange(float(m))
+    gap /= m
+    return float(max(upper, np.subtract(samples, gap, out=gap).max()))
 
 
 def ks_critical_value(m: int) -> float:
@@ -178,7 +189,12 @@ def correlation_matrix(columns: Sequence[Sequence[float]]) -> np.ndarray:
     """Pearson correlation matrix of the given equal-length columns.
 
     `columns` is a sequence of 1-D columns or a (k, n) array, one column
-    per row; a float array is used as given, not stacked into a copy. A
+    per row; a float array is used as given, not stacked into a copy. The
+    covariance sums are taken blockwise, over column blocks of at most
+    `_CORR_BLOCK_ELEMENTS` (2^18) elements centred one at a time, so the
+    working set stays 2 MB whatever n is. Up to 2^18 elements that is one
+    block and `np.corrcoef`'s own arithmetic, equal to it bit for bit;
+    beyond, the per-block sums differ from it in the last bits. A
     column holding NaN or an infinity raises `DegenerateSampleError`, as
     does a constant column (its minimum equals its maximum), fewer than
     two columns, columns shorter than two, and columns of different lengths.
@@ -197,8 +213,19 @@ def correlation_matrix(columns: Sequence[Sequence[float]]) -> np.ndarray:
         raise DegenerateSampleError("every column must be finite")
     if np.any(lo == hi):
         raise DegenerateSampleError("every column needs nonzero variance")
-    corr = np.corrcoef(data)
-    return np.clip(corr, -1.0, 1.0)
+    k, n = data.shape
+    mean = data.mean(axis=1, keepdims=True)
+    cov = np.zeros((k, k))
+    step = max(1, _CORR_BLOCK_ELEMENTS // k)
+    for start in range(0, n, step):
+        block = data[:, start:start + step] - mean
+        cov += np.dot(block, block.T)
+        del block  # held into the next block, it would double the working set
+    cov *= np.true_divide(1, n - 1)
+    std = np.sqrt(np.diag(cov))
+    cov /= std[:, None]
+    cov /= std[None, :]
+    return np.clip(cov, -1.0, 1.0, out=cov)
 
 
 def qq_points(samples: Sequence[float]) -> np.ndarray:

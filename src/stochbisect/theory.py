@@ -29,6 +29,7 @@ K = 1 keeps the closed forms above.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -51,12 +52,22 @@ __all__ = [
     "ell_pdf",
 ]
 
-# _PARTIAL[i, m] * _GL_WEIGHTS[m] is the weight of node m in the integral from
-# -1 to node i of the degree-15 interpolant through the 16 Gauss-Legendre
-# nodes; held per unit Gauss weight, it takes a panel's width from its weights.
-_PARTIAL = (np.polynomial.legendre.legval(
-    _GL_POINTS, np.polynomial.legendre.legint(np.eye(16), lbnd=-1.0)).T
-    @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_POINTS, 15))) / _GL_WEIGHTS
+
+@cache
+def _partial() -> np.ndarray:
+    """The 16 x 16 partial-integral matrix of one Gauss-Legendre panel.
+
+    Entry [i, m] times _GL_WEIGHTS[m] is the weight of node m in the integral
+    from -1 to node i of the degree-15 interpolant through the 16 nodes; held
+    per unit Gauss weight, it takes a panel's width from its weights. Built
+    on the first K >= 2 call, not at import: its matrix inverse would be
+    every process's first BLAS call.
+    """
+    partial = (np.polynomial.legendre.legval(
+        _GL_POINTS, np.polynomial.legendre.legint(np.eye(16), lbnd=-1.0)).T
+        @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_POINTS, 15))) / _GL_WEIGHTS
+    partial.flags.writeable = False  # one array shared by every call
+    return partial
 
 
 def cut_concavity(cut_dist: Distribution) -> float:
@@ -107,7 +118,7 @@ def _k_cut_length(cut_dist: Distribution, k: int, r0: float | None = None) -> fl
     prefix sum of `cut_dist.quadrature` with those nodes as breakpoints. The
     uniform-root mean expands (1 - F(y) + F(x))^K binomially into terms
     C(K, j) (1 - F(y))^(K-j) F(x)^j, so it needs B_j(y) = int_0^y F^j at the
-    nodes: whole earlier panels plus the partial integral `_PARTIAL` of the
+    nodes: whole earlier panels plus the partial integral `_partial()` of the
     node's own panel.
     """
     knots, (rough_lo, rough_hi) = cut_dist._kinks()
@@ -130,11 +141,12 @@ def _k_cut_length(cut_dist: Distribution, k: int, r0: float | None = None) -> fl
         below = prefix[np.searchsorted(pts, r0)]  # F(r0-)
         return float(wy.ravel() @ ((1.0 - np.abs(cdf - below)) ** k).ravel())
 
+    partial = _partial().T
     total = 0.0
     for j in range(k + 1):
         weighted = wy * cdf ** j
         sums = weighted.sum(axis=1)
-        upto = (np.cumsum(sums) - sums)[:, None] + weighted @ _PARTIAL.T
+        upto = (np.cumsum(sums) - sums)[:, None] + weighted @ partial
         total += comb(k, j) * float(np.sum(wy * (1.0 - cdf) ** (k - j) * upto))
     return 2.0 * total
 

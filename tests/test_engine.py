@@ -407,7 +407,7 @@ class TestPopulationStep:
 
     @pytest.mark.parametrize("law", [Uniform(), Beta(2, 2), PointMass(0.375)],
                              ids=lambda law: law.spec)
-    @pytest.mark.parametrize("shape", [(600,), (20, 30)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("shape", [(600,), (20, 30), (100_000,)], ids=["1d", "2d", "100k"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_gap_matches_the_masked_reduction(self, k, shape, law):
         # The running in-place max/min over cut rows gives the masked

@@ -165,11 +165,26 @@ class TestKsStatistic:
 
     @pytest.mark.parametrize("m", [1, 3, 10, 1000, 4097])
     def test_grid_matches_the_two_index_forms(self, m):
-        # One arange(m + 1) / m grid gives i / m and (i - 1) / m bit for bit.
+        # The grids built in place give i / m and (i - 1) / m bit for bit.
         samples = np.sort(substream(m, "ks-grid").uniform(size=m))
         i = np.arange(1, m + 1)
         want = float(max(np.max(i / m - samples), np.max(samples - (i - 1) / m)))
         assert ks_statistic(samples) == want
+
+    @pytest.mark.parametrize("m", [1, 2, 1200, 100_000])
+    def test_matches_the_frozen_formula_with_ties_and_ends(self, m):
+        # ks_statistic builds each gap in place, one buffer at a time; the
+        # whole-grid formula, a grid and two differences, is the oracle.
+        def frozen(samples):
+            samples = np.sort(samples)
+            grid = np.arange(m + 1) / m
+            return float(max(np.max(grid[1:] - samples), np.max(samples - grid[:-1])))
+
+        tied = np.round(substream(m, "ks-frozen").uniform(size=m), 2)
+        ends = tied.copy()
+        ends[0], ends[-1] = 0.0, 1.0
+        for samples in (tied, ends, np.zeros(m), np.ones(m)):
+            assert ks_statistic(samples) == frozen(samples)
 
 
 class TestExponentialFit:
@@ -235,6 +250,19 @@ class TestCorrelationMatrix:
             correlation_matrix([[0.1, bad, 0.3], [1.0, 2.0, 3.0]])
         with pytest.raises(DegenerateSampleError):
             correlation_matrix(np.array([[1.0, 2.0, 3.0], [bad, bad, bad]]))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 10), (14, 500), (14, 18724)], ids=str)
+    def test_one_block_is_corrcoef_bit_for_bit(self, shape):
+        # Up to 2^18 elements (14 x 18724 is the widest 14-row block) the
+        # kernel sums one block, as np.corrcoef does.
+        data = substream(5, "corr-block", *shape).uniform(size=shape)
+        assert np.array_equal(correlation_matrix(data), np.clip(np.corrcoef(data), -1, 1))
+
+    @pytest.mark.parametrize("shape", [(14, 100_000), (4, 70_001)], ids=str)
+    def test_blockwise_sums_stay_within_1e_15_of_corrcoef(self, shape):
+        data = substream(5, "corr-block", *shape).uniform(size=shape)
+        want = np.clip(np.corrcoef(data), -1, 1)
+        assert np.max(np.abs(correlation_matrix(data) - want)) <= 1e-15
 
     def test_column_list_and_array_agree(self):
         data = substream(4, "corr-forms").uniform(size=(5, 40))

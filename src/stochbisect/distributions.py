@@ -10,7 +10,10 @@ kinks of an integrand as breakpoints; each law names where its own F is
 not smooth (`_kinks`). Every density measure comes from
 one Gauss-Legendre builder on [0, hi], `_gauss_measure`: Uniform and
 Bates use [0, 1], and Beta joins [0, 1/2] of itself to [0, 1/2] of
-Beta(b, a) mirrored by x -> 1 - x. The Beta CDF is the regularized
+Beta(b, a) mirrored by x -> 1 - x. Its one-panel rule (`_gauss_rule`) is
+built on first use, not at import, and `_dy_rule` gives the theory layer
+whole panels for dy: 16 nodes for a density law, one midpoint for an atom
+law, whose F is constant between its kinks. The Beta CDF is the regularized
 incomplete beta, evaluated by Lentz's continued fraction, so the runtime
 needs numpy alone.
 
@@ -35,6 +38,7 @@ import math
 import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
+from functools import cache
 
 import numpy as np
 
@@ -64,7 +68,6 @@ class SpecError(ValueError):
     """Malformed distribution spec string."""
 
 
-_GL_POINTS, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _HELD_MEASURES = 2
 # law -> ((breakpoint bytes, (points, weights)), ...), newest first; see `quadrature`.
 _MEASURES = weakref.WeakKeyDictionary()
@@ -72,8 +75,25 @@ _MIN_PANELS = 64
 _GRADING = 2.0 ** -np.arange(48, 0, -1)  # 2^-48, ..., 2^-1
 
 
-def _gauss_measure(hi: float, breakpoints=(), graded: bool = False):
-    """Composite 16-point Gauss-Legendre nodes/weights on [0, hi].
+@cache
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], and the partial matrix.
+
+    Entry [i, m] times weights[m] is node m's weight in the integral from -1
+    to node i of the interpolant through the n nodes. Built on first use,
+    not at import (`leggauss` and `inv` call LAPACK); read-only and shared.
+    """
+    legendre = np.polynomial.legendre
+    points, weights = legendre.leggauss(n)
+    partial = (legendre.legval(points, legendre.legint(np.eye(n), lbnd=-1.0)).T
+               @ np.linalg.inv(legendre.legvander(points, n - 1))) / weights
+    for array in (points, weights, partial):
+        array.flags.writeable = False
+    return points, weights, partial
+
+
+def _gauss_measure(hi: float, breakpoints=(), graded: bool = False, n: int = 16):
+    """Composite n-point Gauss-Legendre nodes/weights on [0, hi], panel by panel.
 
     The panel edges are those of ceil(64 hi) equal panels, i * step (the
     last exactly hi), plus every breakpoint inside (0, hi), plus, if
@@ -88,10 +108,11 @@ def _gauss_measure(hi: float, breakpoints=(), graded: bool = False):
     edges = np.unique(np.concatenate((np.arange(panels) * step, [hi],
                                       cuts[(cuts > 0.0) & (cuts < hi)],
                                       step * _GRADING if graded else [])))
+    points, weights, _ = _gauss_rule(n)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * _GL_POINTS[None, :]).ravel()
-    wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    pts = (mid[:, None] + half[:, None] * points[None, :]).ravel()
+    wts = (half[:, None] * weights[None, :]).ravel()
     return pts, wts
 
 
@@ -245,9 +266,24 @@ class Distribution(ABC):
 
         An atom, or a knot of a piecewise density, needs a panel edge in a
         Gauss rule for an integrand built from F, and an end where a
-        derivative of F blows up needs graded panels (see `theory`).
+        derivative of F blows up needs graded panels (see `_dy_rule`).
         """
         return np.empty(0), (False, False)
+
+    def _dy_rule(self, edges=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(panels, n) nodes and weights of a Gauss rule for dy on [0, 1], and its partial matrix.
+
+        The panel edges are `_gauss_measure`'s, the law's `_kinks`, `edges`,
+        and graded ones at an end where F is not smooth. A density law gets
+        16 nodes per panel; a law without one is atoms, F is constant between
+        them, and one midpoint node (partial matrix [[1/2]]) is exact.
+        """
+        knots, (rough_lo, rough_hi) = self._kinks()
+        n = 1 if type(self)._density is Distribution._density else 16
+        near_one = 1.0 - _GRADING / _MIN_PANELS if rough_hi else ()
+        pts, wts = _gauss_measure(1.0, np.concatenate((knots, edges, near_one)),
+                                  graded=rough_lo, n=n)
+        return pts.reshape(-1, n), wts.reshape(-1, n), _gauss_rule(n)[2]
 
     def _check_domain(self, x: float) -> float:
         x = float(x)

@@ -368,10 +368,9 @@ def run_ksection_experiment(
     runs: the per-run mean factor and the per-run final length. A length
     interval reaching below the normal floats raises `ArithmeticError`.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
     if runs < 2 or iters < 1:
         raise ValueError("need runs >= 2 and iters >= 1")
+    rate = theory.expected_contraction(Uniform(), k)  # checks k before any run
 
     ells = np.empty((runs, iters))
     for m in range(runs):
@@ -380,8 +379,7 @@ def run_ksection_experiment(
         for i in range(iters):
             ells[m, i], r = multisection_step(r, k, rng)
 
-    return _scaling_report("ksection", {"k": k}, ells,
-                           theory.expected_contraction(Uniform(), k), seed)
+    return _scaling_report("ksection", {"k": k}, ells, rate, seed)
 
 
 def run_fixed_root_experiment(

@@ -24,25 +24,17 @@ no cut falls between them (a cut equal to r keeps the lower gap), so
 for a uniform root: 2/(K+2) for uniform cuts, and from K = 2 on no
 function of q alone (bates:3 and beta:4,4 share q = 2/9 but not E[ell_2]).
 `conditional_expected_length` and `expected_contraction` take K as `k`;
-K = 1 keeps the closed forms above.
+K = 1 keeps the closed forms above, and K >= 2 integrates on the law's own
+panels for dy (`Distribution._dy_rule`).
 """
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb
 
 import numpy as np
 
-from .distributions import (
-    _GL_POINTS,
-    _GL_WEIGHTS,
-    _GRADING,
-    _MIN_PANELS,
-    Distribution,
-    DomainError,
-    _gauss_measure,
-)
+from .distributions import Distribution, DomainError
 
 __all__ = [
     "cut_concavity",
@@ -53,23 +45,6 @@ __all__ = [
 ]
 
 
-@cache
-def _partial() -> np.ndarray:
-    """The 16 x 16 partial-integral matrix of one Gauss-Legendre panel.
-
-    Entry [i, m] times _GL_WEIGHTS[m] is the weight of node m in the integral
-    from -1 to node i of the degree-15 interpolant through the 16 nodes; held
-    per unit Gauss weight, it takes a panel's width from its weights. Built
-    on the first K >= 2 call, not at import: its matrix inverse would be
-    every process's first BLAS call.
-    """
-    partial = (np.polynomial.legendre.legval(
-        _GL_POINTS, np.polynomial.legendre.legint(np.eye(16), lbnd=-1.0)).T
-        @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_POINTS, 15))) / _GL_WEIGHTS
-    partial.flags.writeable = False  # one array shared by every call
-    return partial
-
-
 def cut_concavity(cut_dist: Distribution) -> float:
     """q = E[c(1-c)] = mu - mu^2 - sigma^2, always in [0, 1/4]."""
     mu, var = cut_dist.moments()
@@ -77,7 +52,7 @@ def cut_concavity(cut_dist: Distribution) -> float:
 
 
 def _cut_count(k) -> int:
-    if int(k) != k or k < 1:
+    if not (k >= 1 and k % 1 == 0):  # false for NaN and inf too
         raise ValueError(f"need a whole number of cuts k >= 1, got k={k}")
     return int(k)
 
@@ -111,22 +86,14 @@ def expected_contraction(cut_dist: Distribution, k: int = 1) -> float:
 def _k_cut_length(cut_dist: Distribution, k: int, r0: float | None = None) -> float:
     """E[ell_K | root at r0], or E[ell_K] for a uniform root when r0 is None.
 
-    A composite Gauss rule for dy on [0, 1] carries the integrand: 16 nodes
-    on each panel of `_gauss_measure`, with r0 and the points where F is not
-    smooth (atoms, Bates knots: the law's `_kinks`) as panel edges, and
-    graded panels at an end where F is not smooth. F at its nodes is the
-    prefix sum of `cut_dist.quadrature` with those nodes as breakpoints. The
-    uniform-root mean expands (1 - F(y) + F(x))^K binomially into terms
-    C(K, j) (1 - F(y))^(K-j) F(x)^j, so it needs B_j(y) = int_0^y F^j at the
-    nodes: whole earlier panels plus the partial integral `_partial()` of the
-    node's own panel.
+    The law's Gauss rule for dy (`_dy_rule`, r0 a panel edge) carries the
+    integrand; F at its nodes is the prefix sum of `cut_dist.quadrature`
+    with those nodes as breakpoints. The uniform-root mean expands
+    (1 - F(y) + F(x))^K binomially into terms C(K, j) (1 - F(y))^(K-j) F(x)^j,
+    so it needs B_j(y) = int_0^y F^j at the nodes: whole earlier panels plus
+    the rule's partial integral over the node's own panel.
     """
-    knots, (rough_lo, rough_hi) = cut_dist._kinks()
-    graded = _GRADING / _MIN_PANELS
-    edges = np.concatenate((knots, () if r0 is None else (r0,),
-                            graded if rough_lo else (), 1.0 - graded if rough_hi else ()))
-    y, wy = (a.reshape(-1, 16) for a in _gauss_measure(1.0, edges))
-
+    y, wy, partial = cut_dist._dy_rule(() if r0 is None else (r0,))
     pts, wts = cut_dist.quadrature(y.ravel() if r0 is None else np.append(y, r0))
     # A plain running sum drifts by ~N ulps over N weights; adding back each
     # step's rounding error (TwoSum) keeps F, and 2/(K+2) for uniform cuts,
@@ -141,12 +108,11 @@ def _k_cut_length(cut_dist: Distribution, k: int, r0: float | None = None) -> fl
         below = prefix[np.searchsorted(pts, r0)]  # F(r0-)
         return float(wy.ravel() @ ((1.0 - np.abs(cdf - below)) ** k).ravel())
 
-    partial = _partial().T
     total = 0.0
     for j in range(k + 1):
         weighted = wy * cdf ** j
         sums = weighted.sum(axis=1)
-        upto = (np.cumsum(sums) - sums)[:, None] + weighted @ partial
+        upto = (np.cumsum(sums) - sums)[:, None] + weighted @ partial.T
         total += comb(k, j) * float(np.sum(wy * (1.0 - cdf) ** (k - j) * upto))
     return 2.0 * total
 

@@ -1,7 +1,11 @@
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from stochbisect.distributions import (
     Uniform,
     _MEASURES,
     _gauss_measure,
+    _gauss_rule,
     _irwin_hall,
     parse_spec,
 )
@@ -336,6 +341,66 @@ class TestGaussMeasure:
         split, _ = _gauss_measure(1.0, (1e-300,), graded=True)
         assert split.size == plain.size + 16
         assert np.isin(plain[16:], split).all()
+
+
+# Solves once in a fresh interpreter, then builds one measure, printing the
+# number of Gauss rules built after each.
+_RULE_PROBE = """
+import stochbisect
+from stochbisect.distributions import _gauss_rule
+stochbisect.bisection_run(lambda x: x - 0.3, 0.0, 1.0, stochbisect.Uniform(), 1e-8, 100,
+                          stochbisect.substream(1, "rule-probe"))
+built = [_gauss_rule.cache_info().currsize]
+stochbisect.Uniform().quadrature()
+print(*built, _gauss_rule.cache_info().currsize)
+"""
+
+
+class TestGaussRule:
+    def test_built_on_first_quadrature_not_at_import(self):
+        src = Path(__file__).parent.parent / "src"
+        result = subprocess.run([sys.executable, "-c", _RULE_PROBE], check=True,
+                                capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.stdout.split() == ["0", "1"]
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_partial_matrix_integrates_the_interpolant(self, n):
+        # Row i integrates every polynomial of degree < n from -1 to node i.
+        points, weights, partial = _gauss_rule(n)
+        for degree in range(n):
+            exact = (points ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+            assert np.allclose((partial * weights) @ points ** degree, exact,
+                               rtol=0.0, atol=1e-13)
+        assert not (points.flags.writeable or weights.flags.writeable
+                    or partial.flags.writeable)
+
+    def test_one_point_rule_is_the_midpoint_rule(self):
+        points, weights, partial = _gauss_rule(1)
+        assert (points.tolist(), weights.tolist(), partial.tolist()) == ([0.0], [2.0], [[0.5]])
+
+    @pytest.mark.parametrize("law", [PointMass(0.3), Empirical([0.1, 0.2, 0.2, 0.9])],
+                             ids=lambda d: d.spec)
+    def test_atom_laws_get_one_midpoint_per_panel(self, law):
+        # F is constant between atoms, so each panel needs its midpoint only.
+        y, wy, partial = law._dy_rule((0.5,))
+        edges = np.unique(np.concatenate((np.arange(65) / 64, law._kinks()[0], [0.5])))
+        assert y.shape == wy.shape == (edges.size - 1, 1)
+        assert np.array_equal(y.ravel(), 0.5 * (edges[1:] + edges[:-1]))
+        assert np.array_equal(wy.ravel(), np.diff(edges))
+        assert partial.tolist() == [[0.5]]
+
+    @pytest.mark.parametrize("law", [Uniform(), Beta(2.5, 1.5), Bates(3)], ids=lambda d: d.spec)
+    def test_density_laws_get_sixteen_nodes_per_panel(self, law):
+        knots, (rough_lo, rough_hi) = law._kinks()
+        graded = 2.0 ** -np.arange(48, 0, -1) / 64
+        edges = np.concatenate((knots, [0.3], graded if rough_lo else [],
+                                1.0 - graded if rough_hi else []))
+        pts, wts = _gauss_measure(1.0, edges)
+        y, wy, partial = law._dy_rule((0.3,))
+        assert y.shape == wy.shape == (pts.size // 16, 16)
+        assert np.array_equal(y.ravel(), pts) and np.array_equal(wy.ravel(), wts)
+        assert partial is _gauss_rule(16)[2]
 
 
 def _breakpoint_sets():

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import math
 import os
 import re
 import shlex
@@ -166,6 +167,12 @@ class TestKsection:
         # The geometric mean read 0.0 at both ends here, against 1/2 and 1/4.
         with pytest.raises(ArithmeticError, match="below the smallest normal float"):
             ex.run_ksection_experiment(k, runs=20, iters=iters)
+
+    @pytest.mark.parametrize("k", [0, 2.5, math.inf, math.nan])
+    def test_invalid_k_is_a_config_error(self, k):
+        # Checked by theory's rule before any run draws from a substream.
+        with pytest.raises(ValueError, match="whole number of cuts"):
+            ex.run_ksection_experiment(k, runs=20, iters=5)
 
     def test_final_length_above_normal_floats_keeps_the_report(self):
         est = ex.run_ksection_experiment(6, runs=20, iters=450).cell(
@@ -523,6 +530,10 @@ class TestCli:
     def test_long_spec_is_echoed_in_full(self, capsys):
         assert main(["theory", "--dist", "beta:0.1234567,2"]) == EXIT_OK
         assert 'config,dist,"beta:0.1234567,2"\n' in capsys.readouterr().out
+
+    def test_ksection_k_below_one_exits_2(self, capsys):
+        assert main(["ksection", "--k", "0"]) == EXIT_CONFIG
+        assert "whole number of cuts" in capsys.readouterr().err
 
     def test_operator_k_below_one_exits_2(self, capsys):
         assert main(["operator", "--k", "0", "--grid", "65"]) == EXIT_CONFIG

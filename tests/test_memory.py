@@ -11,10 +11,12 @@ from functools import partial
 
 import numpy as np
 
+from stochbisect.distributions import Empirical
 from stochbisect.engine import population_step
 from stochbisect.experiments import ExperimentReport, report_to_csv
 from stochbisect.seeding import substream
 from stochbisect.stats import bootstrap_mean_ci, correlation_matrix, ks_statistic
+from stochbisect.theory import conditional_expected_length, expected_contraction
 
 
 def _traced_peak(call, *args) -> int:
@@ -80,3 +82,12 @@ def test_population_step_peak_is_four_row_buffers():
     cuts = substream(5, "step-memory-cuts").uniform(size=(3, 100_000))
     for k in (1, 3):
         assert _steady_peak(population_step, roots, cuts[:k]) <= 4.0 * roots.nbytes
+
+
+def test_k_cut_theory_peak_is_a_few_arrays_per_atom():
+    # 9.6 and 7.2 MB, about a dozen and nine doubles per atom of a 100k-atom
+    # law: F is constant between atoms, so each panel has one node. With 16
+    # nodes per panel they peaked at 95 and 68 MB.
+    law = Empirical(substream(6, "k-cut-memory").uniform(size=100_000))
+    assert _steady_peak(expected_contraction, law, 6) <= 12_000_000
+    assert _steady_peak(conditional_expected_length, 0.3, law, 6) <= 9_000_000

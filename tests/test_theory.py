@@ -256,10 +256,11 @@ class TestKsection:
             assert integral == pytest.approx(theory.expected_contraction(Uniform(), k), abs=1e-10)
 
     def test_invalid_k(self):
-        for k in (0, -1, 2.5):
-            with pytest.raises(ValueError):
+        # inf is not an ArithmeticError (OverflowError) but the same config error.
+        for k in (0, -1, 2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="whole number of cuts"):
                 theory.expected_contraction(Uniform(), k)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="whole number of cuts"):
                 theory.conditional_expected_length(0.5, Uniform(), k)
 
 

@@ -1,27 +1,30 @@
 """Probability laws on [0, 1] used for cuts and initial roots.
 
-Five families: Uniform, Beta(a, b), Bates(n) (mean of n uniforms),
-PointMass(c), and Empirical (resampling from stored values). Each law
-exposes exact sampling, CDF evaluation, closed-form moments, and a
-quadrature measure `quadrature()` (nodes and weights) for dF: E[g(X)] is
-the weighted sum of g at the nodes. The theory layer and the operator
-layer in `markov` both read the measure directly, and pass the known
-kinks of an integrand as breakpoints; each law names where its own F is
-not smooth (`_kinks`). Every density measure comes from
-one Gauss-Legendre builder on [0, hi], `_gauss_measure`: Uniform and
-Bates use [0, 1], and Beta joins [0, 1/2] of itself to [0, 1/2] of
-Beta(b, a) mirrored by x -> 1 - x. Its one-panel rule (`_gauss_rule`) is
-built on first use, not at import, and `_dy_rule` gives the theory layer
-whole panels for dy: 16 nodes for a density law, one midpoint for an atom
-law, whose F is constant between its kinks. The Beta CDF is the regularized
-incomplete beta, evaluated by Lentz's continued fraction, so the runtime
-needs numpy alone.
+Two kinds of law. Density laws are Uniform, Beta(a, b) and Bates(n) (mean
+of n uniforms); atom laws are Empirical (resampling from stored values)
+and PointMass(c), its one-atom case. Each law exposes exact sampling, CDF
+evaluation, closed-form moments, and a quadrature measure `quadrature()`
+(nodes and weights) for dF: E[g(X)] is the weighted sum of g at the nodes.
+The theory layer and the operator layer in `markov` both read the measure
+directly, and pass the known kinks of an integrand as breakpoints; each law
+names where its own F is not smooth (`_kinks`).
 
-Each law's measure is memoized in a weak map keyed by the law: `quadrature`
-builds it once per breakpoint set, holds at most two (the operator layer
-asks for exactly two, none for T and the grid nodes for H_k), and returns
-read-only arrays that every caller shares. A copied or unpickled law is
-rebuilt by its constructor and starts with no measures.
+An atom law's measure is its atoms, exact for every breakpoint set. A
+density measure is the density times one Gauss-Legendre builder on
+[0, hi], `_gauss_measure`: Uniform and Bates use [0, 1] with their kinks as
+panel edges (`Distribution._measure`), and Beta joins [0, 1/2] of itself to
+[0, 1/2] of Beta(b, a) mirrored by x -> 1 - x. Its one-panel rule
+(`_gauss_rule`) is built on first use, not at import, and `_dy_rule` gives
+the theory layer whole panels for dy: 16 nodes for a density law, one
+midpoint for an atom law, whose F is constant between its kinks. The Beta
+CDF is the regularized incomplete beta, evaluated by Lentz's continued
+fraction, so the runtime needs numpy alone.
+
+Each density law's measure is memoized in a weak map keyed by the law:
+`quadrature` builds it once per breakpoint set, holds at most two (the
+operator layer asks for exactly two, none for T and the grid nodes for
+H_k), and returns read-only arrays that every caller shares. A copied or
+unpickled law is rebuilt by its constructor and starts with no measures.
 
 All parameters are validated at construction and instances are immutable,
 so they are safe to share across workers. Randomness always comes from a
@@ -230,19 +233,20 @@ class Distribution(ABC):
         return 0.0
 
     def quadrature(self, breakpoints: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
-        """Discrete measure (points, weights) representing dF.
+        """Discrete measure (points, weights) representing dF, as read-only arrays.
 
-        Exact for atom-bearing laws. For densities it is a composite
-        16-point Gauss-Legendre rule: 64 equal panels per unit length, with
-        every given breakpoint in (0, 1) added as a panel edge, so
-        integrands with kinks or jumps at those points are integrated
-        accurately, and geometrically graded panels next to an endpoint
-        where the density is singular. The points strictly increase, and
-        the weights are nonnegative and sum to 1 up to rounding.
+        For a density law it is a composite 16-point Gauss-Legendre rule:
+        64 equal panels per unit length, with every given breakpoint in
+        (0, 1) added as a panel edge, so integrands with kinks or jumps at
+        those points are integrated accurately, and geometrically graded
+        panels next to an endpoint where the density is singular. An atom
+        law (`Empirical`) returns its atoms, exact whatever the breakpoints.
+        The points strictly increase, and the weights are nonnegative and
+        sum to 1 up to rounding.
 
-        The measure is memoized in a weak map keyed by the law, so it dies
-        with the law, and within that by the float64 bytes of the raveled
-        breakpoints: a repeated call returns the same two read-only arrays,
+        A density measure is memoized in a weak map keyed by the law, so it
+        dies with the law, and within that by the float64 bytes of the
+        raveled breakpoints: a repeated call returns the same two arrays,
         and a law holds at most two breakpoint sets, dropping the oldest.
         """
         cuts = np.asarray(breakpoints, dtype=float).ravel()
@@ -257,9 +261,10 @@ class Distribution(ABC):
         _MEASURES[self] = ((key, measure), *held[:_HELD_MEASURES - 1])
         return measure
 
-    @abstractmethod
     def _measure(self, breakpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Build the measure `quadrature` memoizes, for a 1-D float array of breakpoints."""
+        """The density measure `quadrature` memoizes: breakpoints and `_kinks` are panel edges."""
+        pts, wts = _gauss_measure(1.0, np.append(breakpoints, self._kinks()[0]))
+        return _merge_ties(pts, wts * self._density(pts))
 
     def _kinks(self) -> tuple[np.ndarray, tuple[bool, bool]]:
         """Where F is not smooth: the points in (0, 1), then whether at 0 and at 1.
@@ -317,9 +322,6 @@ class Uniform(Distribution):
 
     def _density(self, x):
         return np.ones_like(x)
-
-    def _measure(self, breakpoints):
-        return _merge_ties(*_gauss_measure(1.0, breakpoints))  # density 1
 
 
 class Beta(Distribution):
@@ -480,47 +482,12 @@ class Bates(Distribution):
     def _kinks(self):
         return np.arange(1, self.n) / self.n, (False, False)
 
-    def _measure(self, breakpoints):
-        pts, wts = _gauss_measure(1.0, np.append(breakpoints, self._kinks()[0]))
-        return _merge_ties(pts, wts * self.pdf(pts))
-
-
-class PointMass(Distribution):
-    """Degenerate law: every draw equals c."""
-
-    def __init__(self, c: float):
-        c = float(c)
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"point mass must lie in [0, 1], got {c}")
-        self.c = c
-
-    @property
-    def spec(self) -> str:
-        return f"point:{_spec_number(self.c)}"
-
-    def _sample(self, rng, size):
-        return self.c if size is None else np.full(size, self.c)
-
-    def cdf(self, x):
-        return 1.0 if self._check_domain(x) >= self.c else 0.0
-
-    def moments(self):
-        return self.c, 0.0
-
-    def mass_at(self, x):
-        return 1.0 if self._check_domain(x) == self.c else 0.0
-
-    def _kinks(self):
-        return np.array([self.c]), (False, False)
-
-    def _measure(self, breakpoints):
-        return np.array([self.c]), np.array([1.0])
-
 
 class Empirical(Distribution):
     """Law of a finite sample: resampling draws, step-function CDF.
 
-    The samples must be finite and lie in [0, 1].
+    The samples must be finite and lie in [0, 1]. `quadrature` returns the
+    atoms (distinct samples and their shares) for any breakpoints, unmemoized.
     """
 
     def __init__(self, samples: Sequence[float]):
@@ -531,8 +498,9 @@ class Empirical(Distribution):
         if not (values[0] >= 0.0 and values[-1] <= 1.0):
             raise ValueError("empirical samples must be finite and lie in [0, 1]")
         self.samples = values
-        self.samples.flags.writeable = False
         self._atoms = _merge_ties(values, np.full(values.size, 1.0 / values.size))
+        for array in (values, *self._atoms):
+            array.flags.writeable = False
 
     def __reduce__(self):  # numpy restores copied arrays writeable: rebuild read-only
         return Empirical, (self.samples,)
@@ -559,11 +527,41 @@ class Empirical(Distribution):
         return float(np.searchsorted(self.samples, x, side="right")
                      - np.searchsorted(self.samples, x, side="left")) / self.samples.size
 
+    def quadrature(self, breakpoints=()):
+        return self._atoms  # exact: F is a step function whatever the breakpoints
+
     def _kinks(self):
         return self._atoms[0], (False, False)
 
-    def _measure(self, breakpoints):
-        return self._atoms  # the same atoms for every breakpoint set
+
+_ONE_WEIGHT = np.ones(1)
+_ONE_WEIGHT.flags.writeable = False  # every PointMass's weights
+
+
+class PointMass(Empirical):
+    """Degenerate law: every draw equals c, and none reads the generator.
+
+    The one-atom `Empirical`, its two arrays built directly to keep parsing cheap.
+    """
+
+    def __init__(self, c: float):
+        c = float(c)
+        if not 0.0 <= c <= 1.0:
+            raise ValueError(f"point mass must lie in [0, 1], got {c}")
+        self.c = c
+        self.samples = np.array([c])
+        self.samples.setflags(write=False)
+        self._atoms = (self.samples, _ONE_WEIGHT)
+
+    def __reduce__(self):
+        return PointMass, (self.c,)
+
+    @property
+    def spec(self) -> str:
+        return f"point:{_spec_number(self.c)}"
+
+    def _sample(self, rng, size):
+        return self.c if size is None else np.full(size, self.c)
 
 
 def parse_spec(text: str) -> Distribution:

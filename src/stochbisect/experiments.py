@@ -371,6 +371,7 @@ def run_ksection_experiment(
     if runs < 2 or iters < 1:
         raise ValueError("need runs >= 2 and iters >= 1")
     rate = theory.expected_contraction(Uniform(), k)  # checks k before any run
+    k = int(k)  # a whole float k is a valid stream path part only as an int
 
     ells = np.empty((runs, iters))
     for m in range(runs):

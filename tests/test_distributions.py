@@ -30,6 +30,7 @@ from stochbisect.distributions import (
     parse_spec,
 )
 from stochbisect.markov import GridCdf, hn_mean_var, iterate_operator
+from stochbisect.theory import conditional_expected_length, expected_contraction
 from stochbisect.seeding import substream
 from stochbisect.stats import ks_statistic
 
@@ -459,6 +460,9 @@ FRESH_LAWS = {
     "point:0.3": lambda: PointMass(0.3),
     "empirical": lambda: Empirical([0.1, 0.2, 0.2, 0.9]),
 }
+# Atom laws build no measure and keep no memo (see TestAtomLawsHoldNoMemo).
+DENSITY_FRESH_LAWS = {name: FRESH_LAWS[name]
+                      for name in ("uniform", "beta:2,2", "beta:0.5,2", "bates:20")}
 ELL_257 = BREAKPOINT_SETS["ell-257"]
 
 
@@ -520,7 +524,7 @@ class TestQuadratureMemo:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
 
-    @pytest.mark.parametrize("make", FRESH_LAWS.values(), ids=FRESH_LAWS.keys())
+    @pytest.mark.parametrize("make", DENSITY_FRESH_LAWS.values(), ids=DENSITY_FRESH_LAWS.keys())
     def test_holds_at_most_two_measures(self, make, monkeypatch):
         law = make()
         builds = _count_builds(monkeypatch, type(law))
@@ -546,6 +550,37 @@ class TestQuadratureMemo:
             hn_mean_var(iterate, law)
         # T reads the measure without breakpoints, H_k the one on the grid.
         assert [len(cuts) for cuts in builds] == [0, 3 * 257]
+
+
+class TestAtomLawsHoldNoMemo:
+    @pytest.mark.parametrize("make", [
+        lambda: Empirical(substream(5, "atoms").uniform(size=100_000)),
+        lambda: PointMass(0.3),
+    ], ids=["empirical-100k", "point:0.3"])
+    def test_theory_leaves_no_memo_and_one_measure(self, make):
+        # Atoms ignore breakpoints, so a memo keyed by their bytes would only
+        # hold two sets of about 800 kB for a 100k-atom law after these calls.
+        law = make()
+        expected_contraction(law, 3)
+        conditional_expected_length(0.3, law, 2)
+        assert law not in _MEASURES
+        atoms = law.quadrature()
+        for breakpoints in ((), (0.3,), BREAKPOINT_SETS["grid-257"]):
+            measure = law.quadrature(breakpoints)
+            assert all(got is want for got, want in zip(measure, atoms))
+            for array in measure:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.5
+        assert law not in _MEASURES
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda law: pickle.loads(pickle.dumps(law))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_point_mass_copies_stay_point_masses(self, duplicate):
+        twin = duplicate(PointMass(0.3))
+        assert type(twin) is PointMass and isinstance(twin, Empirical)
+        assert twin.spec == "point:0.3" and twin.c == 0.3
+        assert twin.moments() == (0.3, 0.0)  # one sample's mean and variance, exactly
 
 
 class TestMassAt:

@@ -174,6 +174,13 @@ class TestKsection:
         with pytest.raises(ValueError, match="whole number of cuts"):
             ex.run_ksection_experiment(k, runs=20, iters=5)
 
+    def test_whole_float_k_runs_as_its_int(self):
+        # A whole float k passes theory's cut-count rule, and substream takes
+        # only int and str path parts.
+        got = report_to_csv(ex.run_ksection_experiment(2.0, runs=5, iters=3, seed=SEED))
+        assert got == report_to_csv(ex.run_ksection_experiment(2, runs=5, iters=3, seed=SEED))
+        assert "\nconfig,k,2\n" in got
+
     def test_final_length_above_normal_floats_keeps_the_report(self):
         est = ex.run_ksection_experiment(6, runs=20, iters=450).cell(
             "geometric_mean_length").estimate
@@ -649,6 +656,21 @@ class TestCli:
         assert main(["theory", "--dist", "uniform"]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.startswith("experiment,theory")
+
+    @pytest.mark.parametrize("argv", [
+        "theory", "operator --k 3 --grid 129", "fixed-root --r 0.1 --tol 1e-6 --runs 5",
+        "contraction --runs 5 --iters 5"], ids=lambda argv: argv.split()[0])
+    def test_point_mass_reports_as_the_one_atom_empirical(self, argv, tmp_path, capsys):
+        data = tmp_path / "one.txt"
+        data.write_text("0.3\n")
+        reports = []
+        for spec in ("point:0.3", f"empirical:{data}"):
+            assert main([*argv.split(), "--dist", spec]) == EXIT_OK
+            rows = capsys.readouterr().out.splitlines()
+            reports.append([row for row in rows
+                            if not row.startswith(("config,dist,", "config,cut,"))])
+        assert len(reports[0]) == len(rows) - 1
+        assert reports[0] == reports[1]
 
     def test_empirical_spec_via_cli(self, tmp_path):
         data = tmp_path / "cuts.csv"

@@ -5,9 +5,9 @@ of n uniforms); atom laws are Empirical (resampling from stored values)
 and PointMass(c), its one-atom case. Each law exposes exact sampling, CDF
 evaluation, closed-form moments, and a quadrature measure `quadrature()`
 (nodes and weights) for dF: E[g(X)] is the weighted sum of g at the nodes.
-The theory layer and the operator layer in `markov` both read the measure
-directly, and pass the known kinks of an integrand as breakpoints; each law
-names where its own F is not smooth (`_kinks`).
+`_partial_integrals` is the one reader of int_{c<x} phi dF and int_{c<=x} phi dF
+at points x (each a panel edge), for `theory` and `markov`'s H_n; only `markov`'s
+scale mixture reads the measure itself. `_kinks` names where F is not smooth.
 
 An atom law's measure is its atoms, exact for every breakpoint set. A
 density measure is the density times one Gauss-Legendre builder on
@@ -261,6 +261,25 @@ class Distribution(ABC):
         _MEASURES[self] = ((key, measure), *held[:_HELD_MEASURES - 1])
         return measure
 
+    def _partial_integrals(self, x, *phis) -> tuple[np.ndarray, np.ndarray]:
+        """(int_{c<x} phi dF, int_{c<=x} phi dF) at 1-D x, one row per phi in (1, *phis).
+
+        Row 0 is F(x-) and F(x). One `quadrature(x)` call makes each point a
+        panel edge, so an atom on a point counts only in the second array.
+        """
+        pts, wts = self.quadrature(x)
+        terms = np.vstack((wts, *(wts * phi(pts) for phi in phis)))
+        prefix = np.zeros((terms.shape[0], pts.size + 1))  # prefix[:, i]: the nodes below pts[i]
+        before, running = prefix[:, :-1], prefix[:, 1:]
+        np.cumsum(terms, axis=1, out=running)
+        # A plain running sum drifts by ~N ulps over N weights; adding back each
+        # step's rounding error (TwoSum) keeps F, and 2/(K+2) for uniform cuts,
+        # to about an ulp.
+        added = running - before
+        running += np.cumsum((before - (running - added)) + (terms - added), axis=1)
+        lo = np.searchsorted(pts, x)  # the nodes strictly increase: an atom on x is pts[lo]
+        return prefix[:, lo], prefix[:, lo + (pts.take(lo, mode="clip") == x)]
+
     def _measure(self, breakpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The density measure `quadrature` memoizes: breakpoints and `_kinks` are panel edges."""
         pts, wts = _gauss_measure(1.0, np.append(breakpoints, self._kinks()[0]))
@@ -377,13 +396,19 @@ class Beta(Distribution):
         return _beta_density(x, self.a, self.b, self._log_beta)
 
     def _kinks(self):
-        # x^s is smooth at 0 only for a whole s, and s < 1 is never whole.
-        return np.empty(0), (self.a != round(self.a), self.b != round(self.b))
+        # x^s is smooth at 0 only for a whole s, and s < 1 is never whole. A law
+        # narrower than a panel falls between nodes: 129 edges sd/4 apart resolve it.
+        mean, var = self.moments()
+        sd = math.sqrt(var)
+        edges = mean + np.arange(-64, 65) * sd / 4 if sd < 1 / _MIN_PANELS else np.empty(0)
+        rough = self.a != round(self.a), self.b != round(self.b)
+        return edges[(edges > 0.0) & (edges < 1.0)], rough
 
     def _measure(self, breakpoints):
         # [1/2, 1] under Beta(a, b) is [0, 1/2] under Beta(b, a), mirrored by
         # x -> 1 - x (exact for breakpoints in [1/2, 1]), so each half is built
         # from its own endpoint and its singular factor is always x^(shape-1).
+        breakpoints = np.append(breakpoints, self._kinks()[0])
         x, wx = _beta_half(self.a, self.b, self._log_beta, breakpoints)
         y, wy = _beta_half(self.b, self.a, self._log_beta, 1.0 - breakpoints)
         return _merge_ties(np.concatenate((x, 1.0 - y)), np.concatenate((wx, wy)))

@@ -691,7 +691,7 @@ def run_theory_report(dist: str) -> ExperimentReport:
     grid = np.linspace(0.0, 1.0, 11)
     report.add_series(
         "conditional_expected_length", ["r0", "expected_scaling"],
-        [(r0, theory.conditional_expected_length(r0, law)) for r0 in grid],
+        np.column_stack((grid, theory.conditional_expected_length(grid, law))),
     )
     report.add_series(
         "ksection", ["k", "expected_scaling"],

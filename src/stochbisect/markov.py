@@ -25,8 +25,8 @@ or by quadrature, depending on the cut law:
   and each runs the same operations in the same order as it would alone,
   so the result is bit-identical to evaluating them one after the other.
 
-The rate bound watches the bands [0, DELTA) and (1 - DELTA, 1] with the
-fixed band width `DELTA` = 1/4.
+H_n (`ell_cdf_general`) takes F and int G dF from `Distribution._partial_integrals`.
+The rate bound watches the bands [0, DELTA) and (1 - DELTA, 1], `DELTA` = 1/4.
 """
 
 from __future__ import annotations
@@ -247,17 +247,13 @@ def ell_cdf_general(grid_cdf: GridCdf, cut_dist: Distribution, t) -> np.ndarray 
         high_missing = total - grid_cdf.integral_to(1.0 - ts)
         out = low + ts - high_missing
     else:
-        # One sorted measure whose panels align with the grid cells and with
-        # every query point (atom laws are exact and ignore the breakpoints),
-        # so prefix sums over whole panels evaluate both integrals exactly.
-        breaks = np.concatenate([grid_cdf.nodes, ts, 1.0 - ts])
-        pts, wts = cut_dist.quadrature(breakpoints=breaks)
-        gvals = grid_cdf(pts)
-        low_prefix = np.concatenate(([0.0], np.cumsum(wts * gvals)))
-        up_prefix = np.concatenate(([0.0], np.cumsum(wts * (1.0 - gvals))))
-        below = np.searchsorted(pts, ts, side="right")
-        above = np.searchsorted(pts, 1.0 - ts, side="left")
-        out = low_prefix[below] + (up_prefix[-1] - up_prefix[above])
+        # Grid cells and query points are panel edges (atom laws are exact), so
+        # both terms are exact; the grid's last node, 1, gives the totals.
+        n, m = grid_cdf.values.size, ts.size
+        below, upto = cut_dist._partial_integrals(
+            np.concatenate([grid_cdf.nodes, ts, 1.0 - ts]), grid_cdf)
+        high = upto[:, n - 1:n] - below[:, n + m:]  # int_{c>=1-t} (1, G) dF
+        out = upto[1, n:n + m] + high[0] - high[1]
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
 

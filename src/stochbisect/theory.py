@@ -23,9 +23,9 @@ no cut falls between them (a cut equal to r keeps the lower gap), so
 
 for a uniform root: 2/(K+2) for uniform cuts, and from K = 2 on no
 function of q alone (bates:3 and beta:4,4 share q = 2/9 but not E[ell_2]).
-`conditional_expected_length` and `expected_contraction` take K as `k`;
-K = 1 keeps the closed forms above, and K >= 2 integrates on the law's own
-panels for dy (`Distribution._dy_rule`).
+`conditional_expected_length` (r0 a scalar or an array) and `expected_contraction`
+take K as `k`; K = 1 keeps the closed forms above, K >= 2 integrates on the law's
+panels for dy (`Distribution._dy_rule`), and F comes from `_partial_integrals` alone.
 """
 
 from __future__ import annotations
@@ -57,22 +57,24 @@ def _cut_count(k) -> int:
     return int(k)
 
 
-def conditional_expected_length(r0: float, cut_dist: Distribution, k: int = 1) -> float:
+def conditional_expected_length(r0, cut_dist: Distribution, k: int = 1) -> float | np.ndarray:
     """E[ell_K | root at r0] for K = `k` i.i.d. cuts from `cut_dist`.
 
-    At k = 1 it is int_{r0}^1 c dF + int_0^{r0} (1-c) dF: the cut keeps
-    [0, c] when c >= r0 (factor c) and [c, 1] otherwise (factor 1 - c);
-    splitting the quadrature at r0 keeps the indicator kink on a panel
-    boundary. Larger k integrates (1 - |F(y) - F(r0-)|)^K over y.
+    `r0` is a scalar, giving a float, or an array, giving one of its shape.
+    At k = 1 it is int_{c>=r0} c dF + int_{c<r0} (1-c) dF = M(1) - 2 M(r0-) + F(r0-),
+    M(x) = int_{c<=x} c dF: the cut keeps [0, c] when c >= r0 (factor c) and
+    [c, 1] otherwise (factor 1 - c). Larger k integrates (1 - |F(y) - F(r0-)|)^K over y.
     """
-    r0 = float(r0)
-    if not 0.0 <= r0 <= 1.0:
+    r = np.asarray(r0, dtype=float)
+    if not np.all((r >= 0.0) & (r <= 1.0)):  # NaN fails this test
         raise DomainError(f"r0 must be in [0, 1], got {r0}")
     k = _cut_count(k)
     if k > 1:
-        return _k_cut_length(cut_dist, k, r0)
-    pts, wts = cut_dist.quadrature((r0,))
-    return float(wts @ np.where(pts >= r0, pts, 1.0 - pts))
+        out = np.array([_k_cut_length(cut_dist, k, x) for x in r.ravel().tolist()])
+    else:
+        below, upto = cut_dist._partial_integrals(np.append(r, 1.0), lambda c: c)
+        out = upto[1, -1] - 2.0 * below[1, :-1] + below[0, :-1]
+    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
 def expected_contraction(cut_dist: Distribution, k: int = 1) -> float:
@@ -87,26 +89,17 @@ def _k_cut_length(cut_dist: Distribution, k: int, r0: float | None = None) -> fl
     """E[ell_K | root at r0], or E[ell_K] for a uniform root when r0 is None.
 
     The law's Gauss rule for dy (`_dy_rule`, r0 a panel edge) carries the
-    integrand; F at its nodes is the prefix sum of `cut_dist.quadrature`
-    with those nodes as breakpoints. The uniform-root mean expands
+    integrand; F(y-) at its nodes, and F(r0-), are read off the law's
+    measure by `cut_dist._partial_integrals`. The uniform-root mean expands
     (1 - F(y) + F(x))^K binomially into terms C(K, j) (1 - F(y))^(K-j) F(x)^j,
     so it needs B_j(y) = int_0^y F^j at the nodes: whole earlier panels plus
     the rule's partial integral over the node's own panel.
     """
     y, wy, partial = cut_dist._dy_rule(() if r0 is None else (r0,))
-    pts, wts = cut_dist.quadrature(y.ravel() if r0 is None else np.append(y, r0))
-    # A plain running sum drifts by ~N ulps over N weights; adding back each
-    # step's rounding error (TwoSum) keeps F, and 2/(K+2) for uniform cuts,
-    # to about an ulp.
-    running = np.cumsum(wts)
-    before = np.concatenate(([0.0], running[:-1]))
-    added = running - before
-    running += np.cumsum((before - (running - added)) + (wts - added))
-    prefix = np.concatenate(([0.0], running))  # prefix[i] = P[c < pts[i]]
-    cdf = prefix[np.searchsorted(pts, y)]
+    below = cut_dist._partial_integrals(np.append(y, () if r0 is None else r0))[0][0]
+    cdf = below[:y.size].reshape(y.shape)  # F(y-)
     if r0 is not None:
-        below = prefix[np.searchsorted(pts, r0)]  # F(r0-)
-        return float(wy.ravel() @ ((1.0 - np.abs(cdf - below)) ** k).ravel())
+        return float(wy.ravel() @ ((1.0 - np.abs(cdf - below[-1])) ** k).ravel())
 
     total = 0.0
     for j in range(k + 1):

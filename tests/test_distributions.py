@@ -583,6 +583,68 @@ class TestAtomLawsHoldNoMemo:
         assert twin.moments() == (0.3, 0.0)  # one sample's mean and variance, exactly
 
 
+def _count_quadrature_calls(monkeypatch, cls) -> list:
+    """The breakpoints of every `quadrature` call on a `cls` from now on."""
+    calls = []
+    quadrature = cls.quadrature
+
+    def counting(self, breakpoints=()):
+        calls.append(np.asarray(breakpoints, dtype=float).tolist())
+        return quadrature(self, breakpoints)
+
+    monkeypatch.setattr(cls, "quadrature", counting)
+    return calls
+
+
+class TestPartialIntegrals:
+    def test_atoms_on_a_point_count_only_up_to_it(self):
+        below, upto = Empirical([0.1, 0.2, 0.2, 0.9])._partial_integrals(
+            np.array([0.0, 0.2, 0.5, 0.9, 1.0]), lambda c: c)
+        assert below[0].tolist() == [0.0, 0.25, 0.75, 0.75, 1.0]
+        assert upto[0].tolist() == [0.0, 0.75, 0.75, 1.0, 1.0]
+        assert np.allclose(below[1], [0.0, 0.025, 0.125, 0.125, 0.35], rtol=0.0, atol=1e-16)
+        assert np.allclose(upto[1], [0.0, 0.125, 0.125, 0.35, 0.35], rtol=0.0, atol=1e-16)
+
+    @pytest.mark.parametrize("make", DENSITY_FRESH_LAWS.values(), ids=DENSITY_FRESH_LAWS.keys())
+    def test_density_laws_have_no_atoms_and_unit_mass(self, make):
+        x = np.concatenate((ELL_257, [0.3, 1.0]))
+        below, upto = make()._partial_integrals(x, lambda c: c, lambda c: c * c)
+        assert below.shape == upto.shape == (3, x.size)
+        assert np.array_equal(below, upto)
+        assert abs(below[0, -1] - 1.0) < 1e-14
+
+    def test_beta22_rows_match_the_closed_forms(self):
+        # F(x) = 3x^2 - 2x^3 and int_0^x c dF = 2x^3 - 3x^4/2.
+        x = np.linspace(0.0, 1.0, 33)
+        below, _ = Beta(2, 2)._partial_integrals(x, lambda c: c)
+        assert np.allclose(below[0], 3 * x**2 - 2 * x**3, rtol=0.0, atol=1e-15)
+        assert np.allclose(below[1], 2 * x**3 - 1.5 * x**4, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("make", FRESH_LAWS.values(), ids=FRESH_LAWS.keys())
+    def test_one_quadrature_call_with_the_points_as_breakpoints(self, make, monkeypatch):
+        law = make()
+        calls = _count_quadrature_calls(monkeypatch, type(law))
+        law._partial_integrals(np.array([0.3, 0.7, 1.0]), lambda c: c, lambda c: 1.0 - c)
+        assert calls == [[0.3, 0.7, 1.0]]
+
+
+# Laws narrower than one of the 64 equal panels (sd < 1/64): each needs edges
+# of its own. beta:1e5,1 and beta:1e7,1e7 reach only a few 1e-8.
+CONCENTRATED = {"beta:1e4,1": 1e-9, "beta:1e4,2": 1e-9, "beta:5000,50": 1e-9,
+                "beta:3000,1": 1e-9, "beta:1e4,0.5": 1e-9, "beta:1e5,1": 5e-8,
+                "beta:1e7,1e7": 5e-8}
+
+
+@pytest.mark.parametrize("spec, tol", CONCENTRATED.items(), ids=CONCENTRATED.keys())
+def test_concentrated_beta_measure_keeps_mass_mean_and_q(spec, tol):
+    law = parse_spec(spec)
+    pts, wts = law.quadrature()
+    mean, var = law.moments()
+    assert abs(wts.sum() - 1.0) < tol
+    assert abs(wts @ pts - mean) < tol
+    assert abs(wts @ (pts * (1.0 - pts)) - (mean - mean * mean - var)) < tol
+
+
 class TestMassAt:
     @pytest.mark.parametrize("dist", PARAMETRIC, ids=lambda d: d.spec)
     def test_density_laws_have_no_atoms(self, dist):

@@ -85,9 +85,9 @@ def test_population_step_peak_is_four_row_buffers():
 
 
 def test_k_cut_theory_peak_is_a_few_arrays_per_atom():
-    # 9.6 and 7.2 MB, about a dozen and nine doubles per atom of a 100k-atom
-    # law: F is constant between atoms, so each panel has one node. With 16
-    # nodes per panel they peaked at 95 and 68 MB.
+    # 8.0 MB each, about ten doubles per atom of a 100k-atom law: F is
+    # constant between atoms, so each panel has one node. With 16 nodes per
+    # panel they peaked at 95 and 68 MB.
     law = Empirical(substream(6, "k-cut-memory").uniform(size=100_000))
     assert _steady_peak(expected_contraction, law, 6) <= 12_000_000
     assert _steady_peak(conditional_expected_length, 0.3, law, 6) <= 9_000_000

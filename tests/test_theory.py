@@ -10,6 +10,8 @@ from stochbisect import theory
 from stochbisect.distributions import (
     Bates,
     Beta,
+    Distribution,
+    DomainError,
     Empirical,
     NoDensityError,
     PointMass,
@@ -315,3 +317,60 @@ class TestKCutLaws:
         bates, beta = Bates(3), Beta(4, 4)
         assert theory.cut_concavity(bates) == pytest.approx(theory.cut_concavity(beta), abs=1e-15)
         assert theory.expected_contraction(bates, 2) - theory.expected_contraction(beta, 2) > 6e-4
+
+
+class TestArrayConditional:
+    @pytest.mark.parametrize("law", GOLDEN_LAWS, ids=lambda d: d.spec)
+    def test_array_matches_the_scalar_loop(self, law):
+        r0 = np.linspace(0.0, 1.0, 2049)
+        loop = [theory.conditional_expected_length(x, law) for x in r0.tolist()]
+        assert np.max(np.abs(theory.conditional_expected_length(r0, law) - loop)) < 1e-14
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_result_keeps_the_input_shape(self, k):
+        law = Beta(0.5, 2)
+        r0 = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        values = theory.conditional_expected_length(r0, law, k)
+        assert values.shape == (3, 4)
+        assert values.tolist() == [[theory.conditional_expected_length(x, law, k) for x in row]
+                                   for row in r0.tolist()]
+        zero_d = theory.conditional_expected_length(np.array(0.3), law, k)
+        assert type(zero_d) is float and zero_d == theory.conditional_expected_length(0.3, law, k)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+    def test_a_point_outside_the_unit_interval_raises(self, bad):
+        for k in (1, 3):
+            with pytest.raises(DomainError, match="r0 must be in"):
+                theory.conditional_expected_length(np.array([0.2, bad, 0.7]), Uniform(), k)
+
+    def test_theory_report_series_is_one_quadrature_call(self, monkeypatch):
+        from stochbisect.experiments import run_theory_report
+
+        calls, inside = [], []
+        quadrature, conditional = Distribution.quadrature, theory.conditional_expected_length
+
+        def counting(self, breakpoints=()):
+            calls.append(breakpoints)
+            return quadrature(self, breakpoints)
+
+        def watched(*args, **kwargs):
+            before = len(calls)
+            out = conditional(*args, **kwargs)
+            inside.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(Distribution, "quadrature", counting)
+        monkeypatch.setattr(theory, "conditional_expected_length", watched)
+        report = run_theory_report("bates:20")
+        assert inside == [1]
+        assert report.series["conditional_expected_length"][1].shape == (11, 2)
+
+
+@pytest.mark.parametrize("spec", ["beta:1e4,1", "beta:1e4,2", "beta:5000,50", "beta:3000,1"])
+def test_concentrated_beta_conditional_matches_scipy(spec):
+    # Narrower than a panel: without edges of their own these laws read a
+    # conditional off by up to 9e-3, and beta:1e4,2 above 1.
+    law = parse_spec(spec)
+    oracle = sps.beta(law.a, law.b).expect(lambda c: np.where(c >= 0.3, c, 1.0 - c), points=[0.3])
+    assert abs(theory.conditional_expected_length(0.3, law) - oracle) < 1e-9
+    assert np.all(theory.conditional_expected_length(np.linspace(0.0, 1.0, 11), law) <= 1.0)

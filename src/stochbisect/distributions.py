@@ -16,9 +16,9 @@ panel edges (`Distribution._measure`), and Beta joins [0, 1/2] of itself to
 [0, 1/2] of Beta(b, a) mirrored by x -> 1 - x. Its one-panel rule
 (`_gauss_rule`) is built on first use, not at import, and `_dy_rule` gives
 the theory layer whole panels for dy: 16 nodes for a density law, one
-midpoint for an atom law, whose F is constant between its kinks. The Beta
-CDF is the regularized incomplete beta, evaluated by Lentz's continued
-fraction, so the runtime needs numpy alone.
+midpoint for an atom law, whose F is constant between its kinks. Beta's CDF
+is Lentz's continued fraction, and Bates sums nonnegative Bernstein pieces of
+Irwin-Hall(n), accurate for every n, so the runtime needs numpy alone.
 
 Each density law's measure is memoized in a weak map keyed by the law:
 `quadrature` builds it once per breakpoint set, holds at most two (the
@@ -414,26 +414,46 @@ class Beta(Distribution):
         return _merge_ties(np.concatenate((x, 1.0 - y)), np.concatenate((wx, wy)))
 
 
-# The alternating sum cancels: against exact arithmetic its pdf is within
-# 4e-13 relative at n = 25 and only within 3e-12 at n = 30.
-_BATES_MAX_N = 25
+@cache
+def _irwin_hall_pieces(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_bernstein`'s tables of the Irwin-Hall(n) density and CDF.
+
+    On [k, k + 1] the density M_m of a sum of m uniforms has nonnegative Bernstein
+    coefficients (Schoenberg, 1946). As M_m(y) is M_{m-1}'s integral over [y - 1, y],
+    piece k's coefficient j is piece k - 1's sum from j on plus piece k's below j,
+    over m - 1, and F_n's pieces are running sums of M_{n+1}'s: nothing cancels.
+    """
+    # C(1030, 515) overflows a double: n > 1029 raises here, before the work.
+    binomials = [[float(math.comb(d, i)) for i in range(d + 1)] for d in (n - 1, n)]
+    pieces = np.ones((1, 1))  # M_1 = 1 on [0, 1]
+    for degree in range(1, n + 1):  # O(n^3) time, O(n^2) memory
+        density, pieces = pieces, np.zeros((degree + 1, degree + 1))
+        pieces[1:, :-1] = np.cumsum(density[:, ::-1], axis=1)[:, ::-1]
+        pieces[:-1, 1:] += np.cumsum(density, axis=1)
+        pieces /= degree
+    return tuple(np.vstack((c * w, (c * w)[:, ::-1])).T.copy()
+                 for c, w in zip((density, np.cumsum(pieces[:n], axis=0)), binomials))
 
 
-def _irwin_hall(n: int, y, power: int) -> np.ndarray:
-    """Kahan-compensated (1/power!) sum_{0 <= k <= y} (-1)^k C(n,k) (y-k)^power, per y."""
-    y = np.asarray(y, dtype=float)
-    total = np.zeros_like(y)
-    comp = np.zeros_like(y)
-    for k in range(int(y.max(initial=0.0)) + 1):
-        live = y >= k
-        # np.power, not **: a numpy scalar's ** calls libm pow, whose last bit
-        # can differ from the array loop's, and pdf(x) must equal pdf([x])[0].
-        # Dead terms (y < k) raise 0: pow is ~8x slower on negative bases.
-        t = (-1) ** k * math.comb(n, k) * np.power(np.maximum(y - k, 0.0), power) - comp
-        s = total + t
-        comp = np.where(live, (s - total) - t, comp)
-        total = np.where(live, s, total)
-    return total / float(math.factorial(power))
+def _bernstein(table: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_i table[i, k] s^i (1 - s)^(d - i) at each y = k + s in [0, n], k < n.
+
+    Horner's form in t = s / (1 - s), or past s = 1/2 in t = (1 - s) / s on the
+    reversed piece, column k + n, so that t <= 1 and no term is negative.
+    """
+    n = table.shape[1] // 2
+    piece = np.minimum(y.astype(int), n - 1)
+    s = y - piece
+    right = s > 0.5
+    far = np.where(right, s, 1.0 - s)
+    t = np.where(right, 1.0 - s, s) / far
+    columns = piece + n * right
+    total = table[-1].take(columns)
+    with np.errstate(over="raise"):  # up to 2^d times the value: raise, not inf
+        for coefficients in table[-2::-1]:
+            total = total * t + coefficients.take(columns)
+    # np.power, not **: a numpy scalar's ** is libm pow, and pdf(x) must be pdf([x])[0].
+    return total * np.power(far, table.shape[0] - 1)
 
 
 class Bates(Distribution):
@@ -446,15 +466,8 @@ class Bates(Distribution):
     pairwise sum (`np.add.reduce`) of n doubles over n, as numpy's `mean`
     takes it for a single column.
 
-    The closed-form moments hold for any n.
-    The CDF/PDF use the rescaled Irwin-Hall alternating sum with
-    compensated summation, which is accurate in double precision only for
-    n <= 25: beyond that `cdf` and `pdf`, and so `quadrature`, raise
-    `ArithmeticError`. Irwin-Hall is symmetric about n/2 and its sum cancels
-    catastrophically past it, so both sum only at y = n x folded to
-    min(y, n - y): `pdf` is n times the folded sum, and `cdf` is 1 minus it
-    past n/2. `pdf` takes a scalar or an array of any shape and sums all
-    points at once.
+    The CDF and the density sum nonnegative terms (`_irwin_hall_pieces`), so
+    they are accurate for every n; `pdf` takes a scalar or an array of any shape.
     """
 
     def __init__(self, n: int):
@@ -478,31 +491,17 @@ class Bates(Distribution):
         total /= n
         return total
 
-    def _check_accuracy(self) -> None:
-        if self.n > _BATES_MAX_N:
-            raise ArithmeticError(
-                f"{self.spec}: the Irwin-Hall sum behind cdf and pdf is accurate "
-                f"only for n <= {_BATES_MAX_N}")
-
-    def _folded_sum(self, x, power: int):
-        """(y, s): y = n x, and s the Irwin-Hall sum at min(y, n - y) on (0, n), else 0."""
-        n = self.n
-        y = n * np.asarray(x, dtype=float)
-        inside = (y > 0.0) & (y < n)
-        folded = np.where(inside, np.minimum(y, n - y), 0.0)
-        return y, np.where(inside, _irwin_hall(n, folded, power), 0.0)
-
     def cdf(self, x):
-        self._check_accuracy()
-        y, v = self._folded_sum(self._check_domain(x), self.n)
-        return float(np.clip(1.0 - v if y > 0.5 * self.n else v, 0.0, 1.0))
+        y = np.float64(self.n * self._check_domain(x))
+        return float(np.clip(_bernstein(_irwin_hall_pieces(self.n)[1], y), 0.0, 1.0))
 
     def moments(self):
         return 0.5, 1.0 / (12.0 * self.n)
 
     def _density(self, x):
-        self._check_accuracy()
-        return self.n * self._folded_sum(x, self.n - 1)[1]
+        y = np.fmin(np.fmax(self.n * x, 0.0), self.n)  # a clip that sends NaN to 0 too
+        density = self.n * _bernstein(_irwin_hall_pieces(self.n)[0], y)
+        return np.where((y > 0.0) & (y < self.n), density, 0.0)  # Bates(1) jumps at 0 and 1
 
     def _kinks(self):
         return np.arange(1, self.n) / self.n, (False, False)

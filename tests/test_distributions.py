@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,9 @@ from stochbisect.distributions import (
     SpecError,
     Uniform,
     _MEASURES,
+    _bernstein,
     _gauss_measure,
     _gauss_rule,
-    _irwin_hall,
     parse_spec,
 )
 from stochbisect.markov import GridCdf, hn_mean_var, iterate_operator
@@ -229,11 +230,12 @@ class TestCdf:
         assert Bates(2).cdf(0.25) == pytest.approx(0.125, abs=1e-14)
         assert Bates(2).cdf(0.75) == pytest.approx(0.875, abs=1e-14)
 
-    @pytest.mark.parametrize("n", [10, 20, 25])
+    @pytest.mark.parametrize("n", [10, 20, 25, 30, 60, 100])
     def test_bates_against_exact_arithmetic_oracle(self, n):
-        # Oracle: the same alternating Irwin-Hall sum in 60-digit arithmetic,
-        # where cancellation is harmless; the double-precision path must
-        # stay within 1e-12 for n <= 25.
+        # Oracle: the alternating Irwin-Hall sum in 60-digit arithmetic,
+        # summed on the left half (F(y) = 1 - F(n - y) is exact there), where
+        # its cancellation is harmless even at n = 100; the double-precision
+        # Bernstein pieces must stay within 1e-12.
         import math as m
 
         import mpmath
@@ -242,10 +244,12 @@ class TestCdf:
         dist = Bates(n)
         for x in (0.05, 0.3, 0.5, 0.62, 0.9, 0.99):
             y = mpmath.mpf(n) * mpmath.mpf(str(x))
+            left = min(y, n - y)
             total = mpmath.mpf(0)
-            for k in range(int(mpmath.floor(y)) + 1):
-                total += (-1) ** k * m.comb(n, k) * (y - k) ** n
-            oracle = float(total / mpmath.factorial(n))
+            for k in range(int(mpmath.floor(left)) + 1):
+                total += (-1) ** k * m.comb(n, k) * (left - k) ** n
+            oracle = total / mpmath.factorial(n)
+            oracle = float(oracle if y == left else 1 - oracle)
             assert dist.cdf(x) == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.spec)
@@ -433,14 +437,14 @@ BREAKPOINT_SETS = _breakpoint_sets()
 SHAPES = [0.01, 0.02, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1, 1.5, 2, 2.5, 3, 5, 7.3, 50]
 MEASURE_LAWS = (
     [Uniform(), PointMass(0.3), Empirical([0.1, 0.2, 0.2, 0.9, 0.9, 0.9, 0.0, 1.0])]
-    + [Bates(n) for n in range(1, 26)]
+    + [Bates(n) for n in (*range(1, 26), 30, 60, 100)]
     + [Beta(a, b) for a in SHAPES for b in SHAPES]
 )
 
 
 @pytest.mark.parametrize("dist", MEASURE_LAWS, ids=lambda d: d.spec)
 def test_quadrature_is_a_measure_on_distinct_increasing_nodes(dist):
-    # A copy's memo goes with the test: the 284 shared laws would otherwise
+    # A copy's memo goes with the test: the 287 shared laws would otherwise
     # each keep their two largest measures for the rest of the session.
     dist = copy.copy(dist)
     for name, breakpoints in BREAKPOINT_SETS.items():
@@ -719,12 +723,12 @@ class TestDensity:
         val = _expect(Bates(5), lambda x: np.ones_like(x))
         assert val == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [10, 20, 25])
+    @pytest.mark.parametrize("n", [10, 20, 25, 30, 60, 100])
     def test_bates_pdf_against_exact_arithmetic_oracle(self, n):
         # Oracle: n times the Irwin-Hall(n) density at y = n x in 60-digit
         # arithmetic, summed on the left half (y -> n - y is exact there) so
         # that the oracle itself does not cancel; the vectorized
-        # double-precision path must stay within 1e-12 relative for n <= 25.
+        # double-precision path must stay within 1e-12 relative.
         import mpmath
 
         mpmath.mp.dps = 60
@@ -739,44 +743,28 @@ class TestDensity:
             oracle = float(n * total / mpmath.factorial(n - 1))
             assert value == pytest.approx(oracle, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 5, 20, 25])
-    def test_irwin_hall_matches_the_all_terms_sum_bit_for_bit(self, n):
-        # The sum as first written raised every term, dead ones (y < k)
-        # included, and discarded those; skipping that work must not move
-        # a single bit, in any order of y or for a 0-d y.
-        def all_terms(y, power):
-            y = np.asarray(y, dtype=float)
-            total = np.zeros_like(y)
-            comp = np.zeros_like(y)
-            for k in range(int(y.max(initial=0.0)) + 1):
-                live = y >= k
-                t = (-1) ** k * math.comb(n, k) * np.power(y - k, power) - comp
-                s = total + t
-                comp = np.where(live, (s - total) - t, comp)
-                total = np.where(live, s, total)
-            return total / float(math.factorial(power))
-
-        rng = np.random.default_rng(n)
-        ys = np.concatenate([np.linspace(0.0, n, 8 * n + 1), rng.uniform(0.0, n, 200)])
-        ys.sort()
-        for power in (n, n - 1):
-            for y in (ys, ys[::-1], rng.permutation(ys)):
-                assert np.array_equal(_irwin_hall(n, y, power), all_terms(y, power))
-            for y in (0.0, 0.5 * n, float(ys[101]), float(n)):
-                got = _irwin_hall(n, np.float64(y), power)
-                assert got.ndim == 0 and got == all_terms(np.float64(y), power)
-
-    def test_bates_density_and_cdf_refuse_n_above_25(self):
-        # The alternating sum loses accuracy past n = 25; sampling and the
-        # closed-form moments do not use it and stay valid.
+    def test_bates_density_and_cdf_work_past_n_25(self):
+        # The Bernstein pieces do not cancel: n = 26 evaluates like n = 25.
         dist = Bates(26)
-        for evaluate in (dist.pdf, dist.cdf):
-            with pytest.raises(ArithmeticError, match="n <= 25"):
-                evaluate(0.5)
-        with pytest.raises(ArithmeticError, match="n <= 25"):
-            dist.quadrature()
+        exact = Fraction(26 * sum((-1) ** k * math.comb(26, k) * (13 - k) ** 25
+                                  for k in range(14)), math.factorial(25))
+        assert dist.pdf(0.5) == pytest.approx(float(exact), rel=1e-14)
+        assert dist.cdf(0.5) == pytest.approx(0.5, abs=1e-15)
+        pts, wts = dist.quadrature()
+        assert abs(wts.sum() - 1.0) < 1e-12
+        assert abs(wts @ pts - 0.5) < 1e-12
         assert dist.moments() == (0.5, 1.0 / (12.0 * 26))
         assert abs(dist.sample(substream(3, "bates26"), size=10_000).mean() - 0.5) < 0.01
+
+    def test_bates_past_the_double_range_raises(self):
+        # C(1030, 515) overflows a double: the table is refused before it is
+        # built, so theory and operator exit 3 instead of printing inf or 0.
+        with pytest.raises(ArithmeticError):
+            Bates(1030).pdf(0.5)
+        # From n = 1025 the CDF's Horner sum, up to 2^n times F, overflows
+        # first: it raises too, where it would clip inf to 1.
+        with pytest.raises(ArithmeticError):
+            _bernstein(np.full((3, 2), 1e308), np.array([0.5]))
 
     def test_beta_unit_shape_density_at_endpoints(self):
         # A shape of exactly 1 has no endpoint factor; 0 * log(0) is not NaN.

@@ -621,9 +621,17 @@ class TestCli:
         ["theory", "--dist", "bates:100"],
         ["operator", "--g0", "cubic", "--dist", "bates:100", "--k", "1", "--grid", "65"],
     ])
-    def test_bates_density_beyond_n_25_exits_3(self, argv, capsys):
-        assert main(argv) == EXIT_NUMERICAL
-        assert "n <= 25" in capsys.readouterr().err
+    def test_bates_density_beyond_n_25_runs(self, argv):
+        assert main(argv) == EXIT_OK
+
+    def test_bates_100_theory_is_its_closed_form(self):
+        report = ex.run_theory_report("bates:100")
+        cells = {cell.label: cell.value for cell in report.cells}
+        assert cells["expected_contraction"] == pytest.approx(0.5 + 1 / 600, abs=1e-15)
+        lengths = report.series["conditional_expected_length"][1][:, 1]
+        # At r0 = 0 and 1 the length is E[c] = 1/2 exactly, read from a
+        # measure whose mass is 1 only to rounding: allow a few ulps below.
+        assert lengths.size == 11 and np.all((lengths >= 0.5 - 1e-15) & (lengths <= 1.0))
 
     def test_bates_sampling_beyond_n_25_still_runs(self, tmp_path):
         # contraction needs only draws and the closed-form moments.
